@@ -23,8 +23,8 @@ module B = Ndroid_dalvik.Bytecode
 module A = Ndroid_android
 module Ndroid = Ndroid_core.Ndroid
 module Droidscope = Ndroid_core.Droidscope
-module Insn_taint = Ndroid_core.Insn_taint
-module Taint_engine = Ndroid_core.Taint_engine
+module Insn_taint = Ndroid_emulator.Insn_taint
+module Taint_engine = Ndroid_emulator.Taint_engine
 module Taintdroid = Ndroid_taintdroid.Taintdroid
 module Market = Ndroid_corpus.Market
 module Stats = Ndroid_corpus.Stats
@@ -575,16 +575,21 @@ let e12 () =
 (* ---------------------------------------------------------------- perf -- *)
 
 (* Native hot-path throughput: instructions/sec through the traced
-   (NDroid-attached) machine on the E8 native workloads, plus taint-map
-   operation throughput.  Writes BENCH_native.json so successive PRs can
-   track the trajectory of the per-instruction trace loop. *)
+   (NDroid-attached) machine on the E8 native workloads, the minor-heap
+   words each traced instruction allocates, the same workloads' time on a
+   vanilla device, plus taint-map operation throughput.  Writes
+   BENCH_native.json so successive PRs can track the trajectory of the
+   per-instruction trace loop; CI gates the allocation column. *)
 
 let perf_iterations = 12000
+
+type perf_sample = { p_insns : int; p_seconds : float; p_words : float }
 
 let perf_measure_workload device machine (w : CF.workload) =
   (* one warmup run populates the decode cache, memory pages and policies *)
   w.CF.w_run device ~iterations:perf_iterations;
   let c0 = Machine.insn_count machine in
+  let w0 = Gc.minor_words () in
   let t0 = now () in
   let reps = ref 0 in
   while now () -. t0 < 0.35 && !reps < 400 do
@@ -592,7 +597,9 @@ let perf_measure_workload device machine (w : CF.workload) =
     incr reps
   done;
   let dt = now () -. t0 in
-  (Machine.insn_count machine - c0, dt)
+  { p_insns = Machine.insn_count machine - c0;
+    p_seconds = dt;
+    p_words = Gc.minor_words () -. w0 }
 
 let perf_taint_ops () =
   (* mixed range-op churn: the operation profile of the modeled libc
@@ -622,30 +629,45 @@ let perf_taint_ops () =
   let clear_dt = now () -. t1 in
   (float_of_int !ops /. dirty_dt, float_of_int probes /. clear_dt)
 
-let perf () =
-  section "PERF: native hot-path throughput (NDroid-attached E8 configuration)";
+(* a CF-Bench device with the modelled library-body charge zeroed, so the
+   rows isolate the trace loop (as A3) *)
+let perf_device configure =
   let device = H.boot CF.app in
   CF.prepare device;
-  ignore (Ndroid.attach device);
+  configure device;
   let machine = Device.machine device in
-  (* isolate the trace loop from the simulated library-body charge (as A3) *)
   Machine.set_host_fn_work machine 0;
+  (device, machine)
+
+let perf () =
+  section "PERF: native hot-path throughput (NDroid-attached E8 configuration)";
+  let device, machine = perf_device (fun d -> ignore (Ndroid.attach d)) in
+  let v_device, v_machine = perf_device Taintdroid.vanilla in
   let native = List.filter (fun w -> w.CF.w_kind = CF.Native) CF.workloads in
-  Printf.printf "%-22s %14s %10s %14s\n" "workload" "insns" "seconds"
-    "insns/sec";
+  Printf.printf "%-22s %12s %9s %12s %11s %9s\n" "workload" "insns" "seconds"
+    "insns/sec" "words/insn" "x vanilla";
   let rows =
     List.map
       (fun (w : CF.workload) ->
-        let insns, dt = perf_measure_workload device machine w in
-        let ips = float_of_int insns /. dt in
-        Printf.printf "%-22s %14d %10.4f %14.0f\n%!" w.CF.w_name insns dt ips;
-        (w.CF.w_name, insns, dt, ips))
+        let nd = perf_measure_workload device machine w in
+        let va = perf_measure_workload v_device v_machine w in
+        let per_insn s = s.p_seconds /. float_of_int s.p_insns in
+        let ips = 1.0 /. per_insn nd in
+        let words = nd.p_words /. float_of_int nd.p_insns in
+        let ratio = per_insn nd /. per_insn va in
+        Printf.printf "%-22s %12d %9.4f %12.0f %11.3f %9.2f\n%!" w.CF.w_name
+          nd.p_insns nd.p_seconds ips words ratio;
+        (w.CF.w_name, nd, ips, words, ratio))
       native
   in
-  let total_insns = List.fold_left (fun a (_, i, _, _) -> a + i) 0 rows in
-  let total_dt = List.fold_left (fun a (_, _, d, _) -> a +. d) 0.0 rows in
+  let total_insns =
+    List.fold_left (fun a (_, s, _, _, _) -> a + s.p_insns) 0 rows
+  in
+  let total_dt =
+    List.fold_left (fun a (_, s, _, _, _) -> a +. s.p_seconds) 0.0 rows
+  in
   let agg = float_of_int total_insns /. total_dt in
-  Printf.printf "%-22s %14d %10.4f %14.0f\n" "TOTAL" total_insns total_dt agg;
+  Printf.printf "%-22s %12d %9.4f %12.0f\n" "TOTAL" total_insns total_dt agg;
   let taint_ops, clear_probes = perf_taint_ops () in
   let hits, misses = Machine.icache_stats machine in
   Printf.printf "taint range ops/sec:     %14.0f\n" taint_ops;
@@ -656,11 +678,12 @@ let perf () =
   Printf.fprintf oc "  \"iterations_per_run\": %d,\n" perf_iterations;
   Printf.fprintf oc "  \"workloads\": [\n";
   List.iteri
-    (fun i (name, insns, dt, ips) ->
+    (fun i (name, s, ips, words, ratio) ->
       Printf.fprintf oc
         "    {\"name\": %S, \"insns\": %d, \"seconds\": %.6f, \
-         \"insns_per_sec\": %.0f}%s\n"
-        name insns dt ips
+         \"insns_per_sec\": %.0f, \"minor_words_per_insn\": %.4f, \
+         \"ndroid_over_vanilla\": %.3f}%s\n"
+        name s.p_insns s.p_seconds ips words ratio
         (if i = List.length rows - 1 then "" else ","))
     rows;
   Printf.fprintf oc "  ],\n";

@@ -21,57 +21,76 @@ let pc_read mode addr =
 let read_op_reg cpu mode addr r =
   if r = 15 then pc_read mode addr land mask32 else Cpu.reg cpu r
 
-(* Barrel shifter.  Returns (value, carry_out). *)
-let shifted value kind amount carry_in =
+(* Barrel shifter, as two functions that return plain values: the
+   shifted value, and the shifter carry-out (read only by the flag-setting
+   logical operations). *)
+let shift_value value kind amount =
   let value = value land mask32 in
   match (kind, amount) with
-  | _, 0 -> (value, carry_in)
-  | Insn.LSL, n when n < 32 ->
-    ((value lsl n) land mask32, value land (1 lsl (32 - n)) <> 0)
-  | Insn.LSL, 32 -> (0, value land 1 <> 0)
-  | Insn.LSL, _ -> (0, false)
-  | Insn.LSR, n when n < 32 -> (value lsr n, value land (1 lsl (n - 1)) <> 0)
-  | Insn.LSR, 32 -> (0, value land 0x80000000 <> 0)
-  | Insn.LSR, _ -> (0, false)
+  | _, 0 -> value
+  | Insn.LSL, n when n < 32 -> (value lsl n) land mask32
+  | Insn.LSL, _ -> 0
+  | Insn.LSR, n when n < 32 -> value lsr n
+  | Insn.LSR, _ -> 0
   | Insn.ASR, n when n < 32 ->
-    let sign = value land 0x80000000 <> 0 in
     let v = value lsr n in
-    let v = if sign then v lor (mask32 lsl (32 - n)) land mask32 else v in
-    (v land mask32, value land (1 lsl (n - 1)) <> 0)
-  | Insn.ASR, _ ->
-    let sign = value land 0x80000000 <> 0 in
-    ((if sign then mask32 else 0), sign)
+    if value land 0x80000000 <> 0 then (v lor (mask32 lsl (32 - n))) land mask32
+    else v
+  | Insn.ASR, _ -> if value land 0x80000000 <> 0 then mask32 else 0
   | Insn.ROR, n ->
     let n = n land 31 in
-    if n = 0 then (value, value land 0x80000000 <> 0)
-    else
-      let v = ((value lsr n) lor (value lsl (32 - n))) land mask32 in
-      (v, v land 0x80000000 <> 0)
+    if n = 0 then value
+    else ((value lsr n) lor (value lsl (32 - n))) land mask32
+
+let shift_carry value kind amount carry_in =
+  let value = value land mask32 in
+  match (kind, amount) with
+  | _, 0 -> carry_in
+  | Insn.LSL, n when n < 32 -> value land (1 lsl (32 - n)) <> 0
+  | Insn.LSL, 32 -> value land 1 <> 0
+  | Insn.LSL, _ -> false
+  | Insn.LSR, n when n < 32 -> value land (1 lsl (n - 1)) <> 0
+  | Insn.LSR, 32 -> value land 0x80000000 <> 0
+  | Insn.LSR, _ -> false
+  | Insn.ASR, n when n < 32 -> value land (1 lsl (n - 1)) <> 0
+  | Insn.ASR, _ -> value land 0x80000000 <> 0
+  | Insn.ROR, _ -> shift_value value kind amount land 0x80000000 <> 0
 
 (* Evaluate a flexible operand2.  Immediate shift of 0 for LSR/ASR means 32
    in the architecture; the assembler never emits those so we treat literal
    AST values directly. *)
-let eval_op2 cpu mode addr op2 =
+let op2_value cpu mode addr op2 =
   match op2 with
-  | Insn.Imm v -> (v land mask32, cpu.Cpu.c)
-  | Insn.Reg r -> (read_op_reg cpu mode addr r, cpu.Cpu.c)
+  | Insn.Imm v -> v land mask32
+  | Insn.Reg r -> read_op_reg cpu mode addr r
   | Insn.Reg_shift_imm (r, kind, amount) ->
-    shifted (read_op_reg cpu mode addr r) kind amount cpu.Cpu.c
+    shift_value (read_op_reg cpu mode addr r) kind amount
   | Insn.Reg_shift_reg (r, kind, rs) ->
-    let amount = Cpu.reg cpu rs land 0xFF in
-    shifted (read_op_reg cpu mode addr r) kind amount cpu.Cpu.c
+    shift_value (read_op_reg cpu mode addr r) kind (Cpu.reg cpu rs land 0xFF)
+
+let op2_carry cpu mode addr op2 =
+  match op2 with
+  | Insn.Imm _ | Insn.Reg _ -> cpu.Cpu.c
+  | Insn.Reg_shift_imm (r, kind, amount) ->
+    shift_carry (read_op_reg cpu mode addr r) kind amount cpu.Cpu.c
+  | Insn.Reg_shift_reg (r, kind, rs) ->
+    shift_carry (read_op_reg cpu mode addr r) kind (Cpu.reg cpu rs land 0xFF)
+      cpu.Cpu.c
 
 let signed32 v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
 
-let add_with_carry a b carry_in =
+(* [a + b + carry_in] (each operand taken as 32 bits); a flag-setting form
+   also sets N, Z, C and V.  Returns the 32-bit result. *)
+let add_with_carry cpu ~s a b carry_in =
   let a = a land mask32 and b = b land mask32 in
-  let cin = if carry_in then 1 else 0 in
-  let unsigned = a + b + cin in
+  let unsigned = a + b + carry_in in
   let result = unsigned land mask32 in
-  let carry = unsigned > mask32 in
-  let signed = signed32 a + signed32 b + cin in
-  let overflow = signed <> signed32 result in
-  (result, carry, overflow)
+  if s then begin
+    Cpu.set_nz cpu result;
+    cpu.Cpu.c <- unsigned > mask32;
+    cpu.Cpu.v <- signed32 a + signed32 b + carry_in <> signed32 result
+  end;
+  result
 
 (* Per-step execution result.  The machine's trace loop reuses one [run]
    across steps, so a step allocates nothing; -1 means "none". *)
@@ -93,81 +112,46 @@ let interwork cpu target =
     cpu.Cpu.mode <- Cpu.Arm;
     target land lnot 3)
 
+let write_rd cpu (out : run) rd r =
+  if rd = 15 then out.r_branch_to <- interwork cpu r else Cpu.set_reg cpu rd r
+
+(* A logical result: N and Z from the result, C from the barrel shifter. *)
+let logical_flags cpu mode addr op2 r =
+  Cpu.set_nz cpu r;
+  cpu.Cpu.c <- op2_carry cpu mode addr op2
+
+let logical cpu mode addr (out : run) ~s ~rd op2 r =
+  if s then logical_flags cpu mode addr op2 r;
+  write_rd cpu out rd r
+
+(* Most guest instructions are data processing, and the trace loop runs
+   each one: it allocates nothing (no result tuples, no local closures). *)
 let exec_dp cpu mode addr (out : run) op s rd rn op2 =
-  let rn_v = read_op_reg cpu mode addr rn in
-  let op2_v, shifter_c = eval_op2 cpu mode addr op2 in
-  let logical result =
-    if s then (
-      Cpu.set_nz cpu result;
-      cpu.Cpu.c <- shifter_c);
-    Some result
-  in
-  let arith result carry overflow =
-    if s then (
-      Cpu.set_nz cpu result;
-      cpu.Cpu.c <- carry;
-      cpu.Cpu.v <- overflow);
-    Some result
-  in
-  let result =
-    match op with
-    | Insn.AND -> logical (rn_v land op2_v)
-    | Insn.EOR -> logical (rn_v lxor op2_v)
-    | Insn.ORR -> logical (rn_v lor op2_v)
-    | Insn.BIC -> logical (rn_v land lnot op2_v land mask32)
-    | Insn.MOV -> logical op2_v
-    | Insn.MVN -> logical (lnot op2_v land mask32)
-    | Insn.SUB ->
-      let r, c, v = add_with_carry rn_v (lnot op2_v land mask32) true in
-      arith r c v
-    | Insn.RSB ->
-      let r, c, v = add_with_carry op2_v (lnot rn_v land mask32) true in
-      arith r c v
-    | Insn.ADD ->
-      let r, c, v = add_with_carry rn_v op2_v false in
-      arith r c v
-    | Insn.ADC ->
-      let r, c, v = add_with_carry rn_v op2_v cpu.Cpu.c in
-      arith r c v
-    | Insn.SBC ->
-      let r, c, v = add_with_carry rn_v (lnot op2_v land mask32) cpu.Cpu.c in
-      arith r c v
-    | Insn.RSC ->
-      let r, c, v = add_with_carry op2_v (lnot rn_v land mask32) cpu.Cpu.c in
-      arith r c v
-    | Insn.TST ->
-      let r = rn_v land op2_v in
-      Cpu.set_nz cpu r;
-      cpu.Cpu.c <- shifter_c;
-      None
-    | Insn.TEQ ->
-      let r = rn_v lxor op2_v in
-      Cpu.set_nz cpu r;
-      cpu.Cpu.c <- shifter_c;
-      None
-    | Insn.CMP ->
-      let r, c, v = add_with_carry rn_v (lnot op2_v land mask32) true in
-      Cpu.set_nz cpu r;
-      cpu.Cpu.c <- c;
-      cpu.Cpu.v <- v;
-      None
-    | Insn.CMN ->
-      let r, c, v = add_with_carry rn_v op2_v false in
-      Cpu.set_nz cpu r;
-      cpu.Cpu.c <- c;
-      cpu.Cpu.v <- v;
-      None
-  in
-  match result with
-  | None -> ()
-  | Some r ->
-    if rd = 15 then out.r_branch_to <- interwork cpu r
-    else Cpu.set_reg cpu rd r
+  let a = read_op_reg cpu mode addr rn in
+  let b = op2_value cpu mode addr op2 in
+  let carry = if cpu.Cpu.c then 1 else 0 in
+  match op with
+  | Insn.AND -> logical cpu mode addr out ~s ~rd op2 (a land b)
+  | Insn.EOR -> logical cpu mode addr out ~s ~rd op2 (a lxor b)
+  | Insn.ORR -> logical cpu mode addr out ~s ~rd op2 (a lor b)
+  | Insn.BIC -> logical cpu mode addr out ~s ~rd op2 (a land lnot b land mask32)
+  | Insn.MOV -> logical cpu mode addr out ~s ~rd op2 b
+  | Insn.MVN -> logical cpu mode addr out ~s ~rd op2 (lnot b land mask32)
+  | Insn.SUB -> write_rd cpu out rd (add_with_carry cpu ~s a (lnot b) 1)
+  | Insn.RSB -> write_rd cpu out rd (add_with_carry cpu ~s b (lnot a) 1)
+  | Insn.ADD -> write_rd cpu out rd (add_with_carry cpu ~s a b 0)
+  | Insn.ADC -> write_rd cpu out rd (add_with_carry cpu ~s a b carry)
+  | Insn.SBC -> write_rd cpu out rd (add_with_carry cpu ~s a (lnot b) carry)
+  | Insn.RSC -> write_rd cpu out rd (add_with_carry cpu ~s b (lnot a) carry)
+  | Insn.TST -> logical_flags cpu mode addr op2 (a land b)
+  | Insn.TEQ -> logical_flags cpu mode addr op2 (a lxor b)
+  | Insn.CMP -> ignore (add_with_carry cpu ~s:true a (lnot b) 1 : int)
+  | Insn.CMN -> ignore (add_with_carry cpu ~s:true a b 0 : int)
 
 let mem_offset_value cpu mode addr = function
   | Insn.Off_imm v -> v
   | Insn.Off_reg (up, rm, kind, amount) ->
-    let v, _ = shifted (read_op_reg cpu mode addr rm) kind amount false in
+    let v = shift_value (read_op_reg cpu mode addr rm) kind amount in
     if up then v else -v
 
 let exec_mem cpu mem mode addr (out : run) ~load ~width ~rd ~rn ~offset ~pre
@@ -233,18 +217,23 @@ let exec_vfp cpu mem mode addr (out : run) insn =
   ignore out;
   match insn with
   | Insn.Vdp { op; prec; vd; vn; vm; _ } ->
-    let f a b =
+    (* matched in line on unboxed floats: passing them through a function
+       value would box both operands and the result on every op *)
+    let regs =
+      match prec with Insn.F32 -> cpu.Cpu.vfp_s | Insn.F64 -> cpu.Cpu.vfp_d
+    in
+    let a = regs.(vn) and b = regs.(vm) in
+    let r =
       match op with
       | Insn.VADD -> a +. b
       | Insn.VSUB -> a -. b
       | Insn.VMUL -> a *. b
       | Insn.VDIV -> a /. b
     in
-    (match prec with
-     | Insn.F32 ->
-       let r = f cpu.Cpu.vfp_s.(vn) cpu.Cpu.vfp_s.(vm) in
-       cpu.Cpu.vfp_s.(vd) <- Int32.float_of_bits (Int32.bits_of_float r)
-     | Insn.F64 -> cpu.Cpu.vfp_d.(vd) <- f cpu.Cpu.vfp_d.(vn) cpu.Cpu.vfp_d.(vm))
+    regs.(vd) <-
+      (match prec with
+       | Insn.F32 -> Int32.float_of_bits (Int32.bits_of_float r)
+       | Insn.F64 -> r)
   | Insn.Vmem { load; prec; vd; rn; offset; _ } ->
     let a = (read_op_reg cpu mode addr rn + offset) land mask32 in
     (match (load, prec) with

@@ -25,6 +25,10 @@ type step = {
   svc : int option;  (** SVC immediate when a supervisor call was made *)
 }
 
+val shift_value : int -> Insn.shift_kind -> int -> int
+(** [shift_value value kind amount]: the barrel shifter's 32-bit result,
+    without the carry-out.  An [amount] of 0 leaves [value] unchanged. *)
+
 val fetch_decode : ?icache:Icache.t -> Cpu.t -> Memory.t -> int -> Insn.t * int
 (** [fetch_decode cpu mem addr] decodes the instruction at [addr] in the
     CPU's current mode.  @raise Undefined on unsupported encodings. *)

@@ -39,16 +39,17 @@ let watch_code m ~lo ~hi =
 let code_gen m = m.w_gen
 let on_code_write m f = m.w_notify <- f
 
+let rec overlaps addr last = function
+  | [] -> false
+  | (lo, hi) :: rest -> (addr <= hi && last >= lo) || overlaps addr last rest
+
 (* Slow path of the watch check: only reached for writes inside the global
    watched bounds, i.e. essentially only for writes into loaded library
    images (self-modifying / decrypting code, or stores into a library's
-   embedded data words). *)
+   embedded data words).  A loop storing into its library's data words
+   takes this path on every store, so the range walk allocates nothing. *)
 let watch_hit m addr len =
-  if
-    List.exists
-      (fun (lo, hi) -> addr <= hi && addr + len - 1 >= lo)
-      m.w_ranges
-  then begin
+  if overlaps addr (addr + len - 1) m.w_ranges then begin
     m.w_gen <- m.w_gen + 1;
     m.w_notify addr
   end

@@ -41,9 +41,9 @@ let attach ?(vmi_work_per_insn = 90) ?(insns_per_bytecode = 3) ?(insns_per_host_
       vmi_work = vmi_work_per_insn }
   in
   (* every native instruction, system libraries included: no filter *)
+  Machine.add_insn_hook machine (fun addr _ -> instrument t addr);
   Machine.add_listener machine (fun ev ->
       match ev with
-      | Machine.Ev_insn { addr; _ } -> instrument t addr
       | Machine.Ev_host_pre hf ->
         (* DroidScope has no function summaries: a library call is just
            more instructions.  Model the library body's instruction

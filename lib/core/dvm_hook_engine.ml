@@ -1,5 +1,6 @@
 module Taint = Ndroid_taint.Taint
 module Device = Ndroid_runtime.Device
+module Taint_engine = Ndroid_emulator.Taint_engine
 module Machine = Ndroid_emulator.Machine
 module Layout = Ndroid_emulator.Layout
 module Multilevel = Ndroid_emulator.Multilevel
@@ -367,9 +368,14 @@ let on_insn t ~addr =
 
 let attach ?(use_multilevel = true) ?(gate = fun () -> true) device engine log =
   let machine = Device.machine device in
+  (* the multilevel chain's first test runs on every observed branch: a
+     target outside the mounted-address bounds is guest code, answered
+     with two compares before any table probe *)
   let call_entry =
     let cache = Hashtbl.create 512 in
     fun addr ->
+      Machine.in_host_range machine addr
+      &&
       match Hashtbl.find_opt cache addr with
       | Some b -> b
       | None ->
@@ -431,7 +437,6 @@ let attach ?(use_multilevel = true) ?(gate = fun () -> true) device engine log =
         | Machine.Ev_host_post hf when hf.Machine.hf_lib = "libdvm.so" ->
           on_host_post t hf
         | Machine.Ev_host_pre _ | Machine.Ev_host_post _ -> ()
-        | Machine.Ev_insn { addr; _ } -> on_insn t ~addr
         | Machine.Ev_branch { from_; to_; _ } ->
           if t.use_multilevel then
             ignore (Multilevel.observe t.multilevel ~from_ ~to_)

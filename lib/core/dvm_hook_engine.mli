@@ -23,7 +23,7 @@ val attach :
   ?use_multilevel:bool ->
   ?gate:(unit -> bool) ->
   Ndroid_runtime.Device.t ->
-  Taint_engine.t ->
+  Ndroid_emulator.Taint_engine.t ->
   Flow_log.t ->
   t
 (** Wire the engine into the device's machine.  [use_multilevel] defaults
@@ -40,9 +40,10 @@ val on_jni_enter : t -> unit
     never enters the bridge. *)
 
 val on_insn : t -> addr:int -> unit
-(** Apply the source policy registered at [addr], if any.  This is the
-    per-instruction hook on the tracing path and the block-entry hook on
-    the superblock path. *)
+(** Apply the source policy registered at [addr], if any.  The engine
+    installs no instruction hook of its own: {!Ndroid.attach} calls this
+    from its single instruction hook on the tracing path, and from the
+    block-entry hook on the superblock path. *)
 
 val policies_applied : t -> int
 (** How many times a SourcePolicy initialised a native frame. *)

@@ -1,5 +1,7 @@
 module Taint = Ndroid_taint.Taint
 module Device = Ndroid_runtime.Device
+module Taint_engine = Ndroid_emulator.Taint_engine
+module Insn_taint = Ndroid_emulator.Insn_taint
 module Machine = Ndroid_emulator.Machine
 module Tracer = Ndroid_emulator.Tracer
 module Superblock = Ndroid_emulator.Superblock
@@ -118,9 +120,6 @@ let attach ?(use_multilevel = true) ?(use_superblocks = false)
     | None -> Flow_log.create ()
   in
   Device.set_obs device (Flow_log.ring log);
-  (* Order matters: the DVM hook engine's listener must run before the
-     tracer's so a SourcePolicy initialises the shadow registers before the
-     entry instruction's own propagation rule fires. *)
   let dvm_hooks =
     Dvm_hook_engine.attach ~use_multilevel ~gate device engine log
   in
@@ -142,10 +141,26 @@ let attach ?(use_multilevel = true) ?(use_superblocks = false)
    | None -> ());
   let machine = Device.machine device in
   let cpu = Machine.cpu machine in
-  let handler ~addr ~insn =
-    if gate () then Insn_taint.step engine cpu ~addr insn
+  let tracer = Tracer.create ?filter:trace_filter () in
+  (* One instruction hook does the whole per-instruction job, in this
+     order: a SourcePolicy registered at the address initialises the shadow
+     registers, then, inside the traced region, the instruction's own
+     Table V rule fires.  Without a focus set nothing is gated, and the
+     hook makes no gate call at all. *)
+  let hook =
+    match fstate with
+    | None ->
+      fun addr insn ->
+        Dvm_hook_engine.on_insn dvm_hooks ~addr;
+        if Tracer.admit tracer addr then Insn_taint.step engine cpu ~addr insn
+    | Some (st, _, _) ->
+      fun addr insn ->
+        let active = !(st.fs_active) in
+        if active then Dvm_hook_engine.on_insn dvm_hooks ~addr;
+        if Tracer.admit tracer addr && active then
+          Insn_taint.step engine cpu ~addr insn
   in
-  let tracer = Tracer.attach ?filter:trace_filter ~handler machine in
+  Machine.add_insn_hook machine hook;
   (* Superblock execution replaces the per-instruction trace loop: taint
      propagation moves into the blocks' fused/per-slot micro-ops, and the
      source-policy hook moves from every instruction to every block entry

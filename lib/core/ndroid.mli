@@ -5,9 +5,10 @@
       information flow in the Java context", Sec. VI);
     - the {!Dvm_hook_engine} (five JNI hook groups + multilevel hooking);
     - the {!Syslib_hook_engine} (Table VI summaries, Table VII sinks);
-    - the instruction tracer running {!Insn_taint} (Table V) over
-      third-party native code only;
-    - the {!Taint_engine} (shadow registers + byte-granularity taint map);
+    - the instruction tracer running {!Ndroid_emulator.Insn_taint}
+      (Table V) over third-party native code only;
+    - the {!Ndroid_emulator.Taint_engine} (shadow registers +
+      byte-granularity taint map);
     and installs the two device policies: data entering Java from native
     carries the engine's taint, and a native method's return value carries
     the union of TaintDroid's black-box rule and the tracked taint of
@@ -50,8 +51,8 @@ val attach :
 (** Instrument a device.  [use_multilevel:false] is ablation A2;
     [use_superblocks] (default [false]) switches native execution to
     pre-decoded superblocks with fused taint transfers — per-instruction
-    trace events stop firing, so leave it off when per-insn tracing
-    matters; [use_summaries] (default [false]) lets the JNI bridge apply
+    hooks stop firing, so leave it off when per-insn tracing matters;
+    [use_summaries] (default [false]) lets the JNI bridge apply
     digest-cached native taint summaries instead of emulating exact
     function bodies; [trace_filter] overrides which addresses the
     instruction tracer covers (default: the third-party app library region
@@ -63,7 +64,7 @@ val attach :
     or native function in the set.  An empty focus disables gating. *)
 
 val device : t -> Ndroid_runtime.Device.t
-val engine : t -> Taint_engine.t
+val engine : t -> Ndroid_emulator.Taint_engine.t
 val log : t -> Flow_log.t
 val stats : t -> stats
 

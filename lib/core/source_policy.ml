@@ -1,5 +1,6 @@
 module Taint = Ndroid_taint.Taint
 module Device = Ndroid_runtime.Device
+module Taint_engine = Ndroid_emulator.Taint_engine
 module Classes = Ndroid_dalvik.Classes
 module Cpu = Ndroid_arm.Cpu
 

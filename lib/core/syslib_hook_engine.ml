@@ -1,5 +1,6 @@
 module Taint = Ndroid_taint.Taint
 module Device = Ndroid_runtime.Device
+module Taint_engine = Ndroid_emulator.Taint_engine
 module Machine = Ndroid_emulator.Machine
 module Cpu = Ndroid_arm.Cpu
 module Memory = Ndroid_arm.Memory
@@ -394,7 +395,7 @@ let attach device engine log =
           | _ -> None
         in
         on_post t hf.Machine.hf_name cpu mem pre
-      | Machine.Ev_host_pre _ | Machine.Ev_host_post _ | Machine.Ev_insn _
-      | Machine.Ev_branch _ | Machine.Ev_svc _ ->
+      | Machine.Ev_host_pre _ | Machine.Ev_host_post _ | Machine.Ev_branch _
+      | Machine.Ev_svc _ ->
         ());
   t

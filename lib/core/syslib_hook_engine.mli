@@ -12,7 +12,8 @@
 
 type t
 
-val attach : Ndroid_runtime.Device.t -> Taint_engine.t -> Flow_log.t -> t
+val attach :
+  Ndroid_runtime.Device.t -> Ndroid_emulator.Taint_engine.t -> Flow_log.t -> t
 
 val summaries_applied : t -> int
 (** Modeled-function taint summaries executed. *)

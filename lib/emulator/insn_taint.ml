@@ -1,6 +1,7 @@
 module Taint = Ndroid_taint.Taint
 module Insn = Ndroid_arm.Insn
 module Cpu = Ndroid_arm.Cpu
+module Exec = Ndroid_arm.Exec
 
 let mask32 = 0xFFFFFFFF
 
@@ -10,25 +11,6 @@ let pc_read cpu addr =
 let reg_value cpu addr r =
   if r = 15 then pc_read cpu addr land mask32 else Cpu.reg cpu r
 
-(* Shift value computation without flags — only the resulting value matters
-   for address arithmetic in the propagation rules. *)
-let shifted_value value kind amount =
-  let value = value land mask32 in
-  match (kind, amount) with
-  | _, 0 -> value
-  | Insn.LSL, n when n < 32 -> (value lsl n) land mask32
-  | Insn.LSL, _ -> 0
-  | Insn.LSR, n when n < 32 -> value lsr n
-  | Insn.LSR, _ -> 0
-  | Insn.ASR, n when n < 32 ->
-    let v = value lsr n in
-    if value land 0x80000000 <> 0 then (v lor (mask32 lsl (32 - n))) land mask32
-    else v
-  | Insn.ASR, _ -> if value land 0x80000000 <> 0 then mask32 else 0
-  | Insn.ROR, n ->
-    let n = n land 31 in
-    ((value lsr n) lor (value lsl (32 - n))) land mask32
-
 let mem_access_addr cpu addr ~rn ~offset ~pre =
   let base = reg_value cpu addr rn in
   if not pre then base
@@ -37,7 +19,7 @@ let mem_access_addr cpu addr ~rn ~offset ~pre =
       match offset with
       | Insn.Off_imm v -> v
       | Insn.Off_reg (up, rm, kind, amount) ->
-        let v = shifted_value (reg_value cpu addr rm) kind amount in
+        let v = Exec.shift_value (reg_value cpu addr rm) kind amount in
         if up then v else -v
     in
     (base + off) land mask32

@@ -4,15 +4,15 @@ module Insn = Ndroid_arm.Insn
 module Exec = Ndroid_arm.Exec
 module Icache = Ndroid_arm.Icache
 module Asm = Ndroid_arm.Asm
+module Ring = Ndroid_obs.Ring
 
 type host_fn = { hf_name : string; hf_lib : string; hf_addr : int }
 
-(* Ev_insn and Ev_branch have mutable payloads: the trace loop emits one
-   preallocated cell of each per machine, overwriting the fields each step,
-   so per-instruction event delivery allocates nothing.  Listeners must read
-   the fields during [emit] and never retain the event value. *)
+(* Ev_branch has a mutable payload: the trace loop emits one preallocated
+   cell per machine, overwriting the fields each branch, so branch delivery
+   allocates nothing.  Listeners must read the fields during [emit] and
+   never retain the event value. *)
 type event =
-  | Ev_insn of { mutable addr : int; mutable insn : Insn.t }
   | Ev_branch of { mutable from_ : int; mutable to_ : int;
                    mutable is_call : bool }
   | Ev_host_pre of host_fn
@@ -31,6 +31,8 @@ type t = {
   mutable host_lo : int;
   mutable host_hi : int;
   mutable listeners : (event -> unit) array;
+  mutable insn_hooks : (int -> Insn.t -> unit) array;
+  mutable obs : Ring.t;
   mutable icache : Icache.t option;
   mutable insn_count : int;
   mutable host_calls : int;
@@ -38,8 +40,7 @@ type t = {
   mutable fuel : int;  (* set by the outermost call_native; -1 = unlimited *)
   mutable host_work : int;
   scratch : Exec.run;  (* reused per-step result; never escapes [step] *)
-  ev_insn : event;  (* preallocated Ev_insn cell, fields rewritten per step *)
-  ev_branch : event;  (* preallocated Ev_branch cell, likewise *)
+  ev_branch : event;  (* preallocated Ev_branch cell, fields rewritten *)
   (* superblock execution (off by default): pre-decoded straight-line
      blocks with fused taint transfers replace the per-insn fetch/decode/
      event loop for eligible PCs *)
@@ -58,6 +59,8 @@ let create () =
     host_lo = max_int;
     host_hi = min_int;
     listeners = [||];
+    insn_hooks = [||];
+    obs = Ring.disabled;
     icache = Some (Icache.create ());
     insn_count = 0;
     host_calls = 0;
@@ -65,7 +68,6 @@ let create () =
     fuel = -1;
     host_work = 2500;
     scratch = Exec.run_create ();
-    ev_insn = Ev_insn { addr = 0; insn = Insn.bx_lr };
     ev_branch = Ev_branch { from_ = 0; to_ = 0; is_call = false };
     sb = None;
     sb_engine = None;
@@ -110,12 +112,18 @@ let find_host_fn t addr =
   | Some (hf, _) -> Some hf
   | None -> None
 
-(* Listeners live in an array: attaching stays in attachment order without
-   the old quadratic list append, and emitting is an allocation-free indexed
-   loop. *)
+(* Listeners and instruction hooks live in arrays: attaching stays in
+   attachment order, and delivery is an allocation-free indexed loop. *)
 let add_listener t f = t.listeners <- Array.append t.listeners [| f |]
-let clear_listeners t = t.listeners <- [||]
+let add_insn_hook t f = t.insn_hooks <- Array.append t.insn_hooks [| f |]
+
+let clear_listeners t =
+  t.listeners <- [||];
+  t.insn_hooks <- [||]
+
 let has_listeners t = Array.length t.listeners > 0
+let set_obs t ring = t.obs <- ring
+let in_host_range t addr = addr >= t.host_lo && addr <= t.host_hi
 
 let emit t ev =
   let ls = t.listeners in
@@ -123,14 +131,15 @@ let emit t ev =
     ls.(i) ev
   done
 
-(* Rewrite the preallocated cells in place and hand them to the listeners. *)
-let emit_insn t ~addr ~insn =
-  (match t.ev_insn with
-   | Ev_insn r ->
-     r.addr <- addr;
-     r.insn <- insn
-   | _ -> assert false);
-  emit t t.ev_insn
+(* The host boundary goes to the obs ring before the listeners see it, so
+   the ring shows a host call's enter ahead of the events its hooks emit. *)
+let host_pre t hf =
+  Ring.emit_host_enter t.obs hf.hf_name;
+  if has_listeners t then emit t (Ev_host_pre hf)
+
+let host_post t hf =
+  Ring.emit_host_leave t.obs hf.hf_name;
+  if has_listeners t then emit t (Ev_host_post hf)
 
 let emit_branch t ~from_ ~to_ ~is_call =
   if has_listeners t then begin
@@ -147,15 +156,11 @@ let call_host t ~from_ name =
   let hf, run = Hashtbl.find t.host_by_name name in
   t.host_calls <- t.host_calls + 1;
   burn_host_work t;
-  if has_listeners t then begin
-    emit_branch t ~from_ ~to_:hf.hf_addr ~is_call:true;
-    emit t (Ev_host_pre hf)
-  end;
+  emit_branch t ~from_ ~to_:hf.hf_addr ~is_call:true;
+  host_pre t hf;
   run t.m_cpu t.m_mem;
-  if has_listeners t then begin
-    emit t (Ev_host_post hf);
-    emit_branch t ~from_:hf.hf_addr ~to_:(from_ + 4) ~is_call:false
-  end
+  host_post t hf;
+  emit_branch t ~from_:hf.hf_addr ~to_:(from_ + 4) ~is_call:false
 
 let load_program t prog =
   Asm.load prog t.m_mem;
@@ -178,16 +183,20 @@ let burn t =
 (* One scheduling quantum: either dispatch a host function or execute one
    guest instruction.  Returns unit; the caller polls the PC.
 
-   Each step decodes at most once: the decode feeds both the Ev_insn
-   listeners and execution via Exec.step_decoded.  Host-function dispatch is
-   gated by the mounted-address bounds, so ordinary guest instructions skip
-   the host hashtable entirely. *)
+   Each step decodes at most once: the decode feeds the obs ring (when it
+   traces), the instruction hooks, and execution via Exec.step_into.
+   Host-function dispatch is gated by the mounted-address bounds, so
+   ordinary guest instructions skip the host hashtable entirely. *)
 let step_insn t pc =
   burn t;
   t.insn_count <- t.insn_count + 1;
   let insn, size = Exec.fetch_decode ?icache:t.icache t.m_cpu t.m_mem pc in
+  if Ring.tracing t.obs then Ring.emit_insn t.obs ~addr:pc insn;
+  let hooks = t.insn_hooks in
+  for i = 0 to Array.length hooks - 1 do
+    (Array.unsafe_get hooks i) pc insn
+  done;
   if has_listeners t then begin
-    emit_insn t ~addr:pc ~insn;
     let s = t.scratch in
     Exec.step_into s t.m_cpu t.m_mem ~addr:pc insn size;
     (* copy out before emitting: a listener may re-enter [step] (e.g. a
@@ -257,7 +266,7 @@ let exec_blocks t sb pc0 =
     let p = !pc in
     if
       p = Layout.return_sentinel
-      || (p >= t.host_lo && p <= t.host_hi && Hashtbl.mem t.host_by_addr p)
+      || (in_host_range t p && Hashtbl.mem t.host_by_addr p)
       || not (Superblock.wants sb p)
     then continue_ := false
     else begin
@@ -283,7 +292,7 @@ let exec_blocks t sb pc0 =
 let step t =
   let pc = Cpu.pc t.m_cpu in
   match
-    if pc >= t.host_lo && pc <= t.host_hi then
+    if in_host_range t pc then
       Hashtbl.find_opt t.host_by_addr pc
     else None
   with
@@ -291,9 +300,9 @@ let step t =
     burn t;
     t.host_calls <- t.host_calls + 1;
     burn_host_work t;
-    if has_listeners t then emit t (Ev_host_pre hf);
+    host_pre t hf;
     run t.m_cpu t.m_mem;
-    if has_listeners t then emit t (Ev_host_post hf);
+    host_post t hf;
     (* return to the caller, honouring interworking *)
     let ret = Cpu.lr t.m_cpu in
     if ret land 1 = 1 then begin

@@ -7,8 +7,9 @@
     lands on one runs the handler and returns — and, like NDroid's
     TCG-insertion hooking (Sec. V-G), emits pre/post events keyed by the
     function's address and name.  Everything else is stepped instruction by
-    instruction, with a pre-execution event per instruction so an attached
-    tracer sees the machine state the instruction is about to consume. *)
+    instruction, calling the typed instruction hooks before each one so an
+    attached tracer sees the machine state the instruction is about to
+    consume. *)
 
 module Cpu = Ndroid_arm.Cpu
 module Memory = Ndroid_arm.Memory
@@ -18,13 +19,13 @@ module Icache = Ndroid_arm.Icache
 
 type host_fn = { hf_name : string; hf_lib : string; hf_addr : int }
 
-(** [Ev_insn] and [Ev_branch] carry mutable payloads: the trace loop reuses
-    one preallocated cell of each, rewriting the fields per emission, so
-    per-instruction event delivery allocates nothing.  Listeners must read
-    the fields during the callback and never retain the event value. *)
+(** Events at control transfers and host-function boundaries.  Instructions
+    are not events: they go to the typed hooks of {!add_insn_hook}.
+    [Ev_branch] carries a mutable payload: the machine reuses one
+    preallocated cell, rewriting the fields per emission, so branch
+    delivery allocates nothing.  Listeners must read the fields during the
+    callback and never retain the event value. *)
 type event =
-  | Ev_insn of { mutable addr : int; mutable insn : Insn.t }
-      (** emitted {e before} the instruction executes *)
   | Ev_branch of { mutable from_ : int; mutable to_ : int;
                    mutable is_call : bool }
       (** any control transfer, including synthetic ones host functions emit
@@ -50,7 +51,7 @@ val set_icache_enabled : t -> bool -> unit
 
 val set_host_fn_work : t -> int -> unit
 (** Baseline cost of one host-function dispatch, in abstract work units
-    (default 48).  A mounted library function stands for a real function
+    (default 2500).  A mounted library function stands for a real function
     body of dozens-to-hundreds of instructions; charging that body in
     {e every} configuration is what makes summary-based instrumentation
     nearly free relative to it (the Fig. 10 MALLOCS/Disk rows) while
@@ -74,7 +75,30 @@ val find_host_fn : t -> int -> host_fn option
 val add_listener : t -> (event -> unit) -> unit
 (** Attach an analysis.  Listeners run in attachment order. *)
 
+val add_insn_hook : t -> (int -> Insn.t -> unit) -> unit
+(** [add_insn_hook t f] calls [f addr insn] for every guest instruction
+    the per-instruction loop steps.  Hooks run {e before} the instruction
+    executes, so they see the state it is about to consume, and they run
+    in attachment order.  The machine decodes once and passes the same
+    decoded [insn] to every hook and to execution; nothing is allocated
+    per call.  Superblock execution calls no hooks (see
+    {!enable_superblocks}). *)
+
 val clear_listeners : t -> unit
+(** Detach every listener and every instruction hook. *)
+
+val set_obs : t -> Ndroid_obs.Ring.t -> unit
+(** Record machine activity into an observability hub (default:
+    {!Ndroid_obs.Ring.disabled}).  Host-function entries and exits are
+    recorded whenever the ring is on, ahead of the listeners' own events;
+    each stepped instruction is recorded only while the ring's [tracing]
+    gate is up.  Replaces any hub set before. *)
+
+val in_host_range : t -> int -> bool
+(** [in_host_range t addr] is [false] when [addr] lies outside the bounds
+    of every mounted host-function address: two compares that let a
+    per-branch check skip the host-function lookup for guest targets.
+    [true] does not mean a function is mounted there. *)
 
 val emit_branch : t -> from_:int -> to_:int -> is_call:bool -> unit
 (** Host functions use this to surface their internal call chains (e.g.
@@ -114,11 +138,11 @@ val enable_superblocks :
     line regions pre-decoded once, with Table V taint transfers fused at
     translate time and applied against [engine].  [on_block_entry] runs at
     every block entry (source-policy application); [is_boundary] addresses
-    always start a block.  Note that block execution emits {e no} [Ev_insn]
-    events — taint propagation happens through the fused ops instead — so it
-    must not be combined with analyses that depend on per-instruction
-    events (the attach layer keeps per-insn tracing and superblocks
-    mutually exclusive). *)
+    always start a block.  Note that block execution calls {e no}
+    instruction hooks and records no instructions in the obs ring — taint
+    propagation happens through the fused ops instead — so it must not be
+    combined with analyses that depend on per-instruction hooks (the attach
+    layer keeps per-insn tracing and superblocks mutually exclusive). *)
 
 val disable_superblocks : t -> unit
 val superblocks : t -> Superblock.t option

@@ -1,19 +1,16 @@
-type t = { mutable traced : int; mutable skipped : int }
+type t = { filter : int -> bool; mutable traced : int; mutable skipped : int }
 
-let attach ?(filter = Layout.in_app_lib) ~handler machine =
-  let t = { traced = 0; skipped = 0 } in
-  Machine.add_listener machine (fun ev ->
-      match ev with
-      | Machine.Ev_insn { addr; insn } ->
-        if filter addr then begin
-          t.traced <- t.traced + 1;
-          handler ~addr ~insn
-        end
-        else t.skipped <- t.skipped + 1
-      | Machine.Ev_branch _ | Machine.Ev_host_pre _ | Machine.Ev_host_post _
-      | Machine.Ev_svc _ ->
-        ());
-  t
+let create ?(filter = Layout.in_app_lib) () = { filter; traced = 0; skipped = 0 }
+
+let admit t addr =
+  if t.filter addr then begin
+    t.traced <- t.traced + 1;
+    true
+  end
+  else begin
+    t.skipped <- t.skipped + 1;
+    false
+  end
 
 let traced t = t.traced
 let skipped t = t.skipped

@@ -65,7 +65,7 @@ type t = {
   mutable d_obs : Ndroid_obs.Ring.t;
   (* native taint summaries: per loaded library, derived at load time and
      applied by the JNI bridge instead of emulating the body when exact *)
-  lib_summaries : (string, Summary.lib) Hashtbl.t;
+  mutable lib_summaries : Summary.lib list;
   mutable use_summaries : bool;
   mutable summary_taint : int -> (int * int) array -> unit;
       (* (entry addr, masks): source-policy mimicry + fused-mask
@@ -90,13 +90,13 @@ let jni_return_policy d = d.ret_policy
 let native_taint_source d = d.taint_source
 let obs d = d.d_obs
 
-(* One hub observes the whole device: the Dalvik interpreter shares it,
-   and machine-level events (instructions, host boundaries) stream into it
-   when its [tracing] gate is up. *)
+(* One hub observes the whole device: the Dalvik interpreter and the
+   machine share it (the machine records instructions only while its
+   [tracing] gate is up). *)
 let set_obs d ring =
   d.d_obs <- ring;
   d.d_vm.Vm.obs <- ring;
-  Ndroid_emulator.Trace.listen ring d.d_machine
+  Machine.set_obs d.d_machine ring
 let current_jni_call d = d.cur_call
 let pending_interp_args d = d.pending_interp
 
@@ -199,8 +199,8 @@ let load_library d name =
     Hashtbl.replace d.loaded_libs name prog;
     (* summarize the image now (cheap, digest-cached); whether the bridge
        uses the summaries is a separate switch *)
-    Hashtbl.replace d.lib_summaries name
-      (Summary.derive_cached (Machine.mem d.d_machine) prog);
+    d.lib_summaries <-
+      Summary.derive_cached (Machine.mem d.d_machine) prog :: d.lib_summaries;
     List.iter
       (fun (sym, _addr) -> Hashtbl.replace d.symbols sym (Asm.fn_addr prog sym))
       (Asm.symbols prog);
@@ -257,16 +257,12 @@ let set_summary_taint d f = d.summary_taint <- f
 let summaries_applied d = d.summaries_applied
 let summaries_rejected d = d.summaries_rejected
 
-let find_summary d addr =
-  Hashtbl.fold
-    (fun _ l acc ->
-      match acc with
-      | Some _ -> acc
-      | None -> (
-        match Summary.find l addr with
-        | Some fn -> Some (l, fn)
-        | None -> None))
-    d.lib_summaries None
+let rec find_summary addr = function
+  | [] -> None
+  | l :: rest -> (
+    match Summary.find l addr with
+    | Some fn -> Some (l, fn)
+    | None -> find_summary addr rest)
 
 (* The summary fast path: skip the dvmCallJNIMethod bridge (and the native
    body emulation behind it) entirely when the target function has an exact
@@ -278,7 +274,7 @@ let find_summary d addr =
 let try_summary d jc =
   if not d.use_summaries then false
   else
-    match find_summary d jc.jc_addr with
+    match find_summary jc.jc_addr d.lib_summaries with
     | None -> false
     | Some (l, fn) -> (
       match fn.Summary.f_verdict with
@@ -1176,6 +1172,15 @@ let install_system_class d =
   Vm.register_intrinsic d.d_vm "System.loadLibrary" loader;
   Vm.register_intrinsic d.d_vm "System.load" loader
 
+(* A store into a watched image dirties the library that owns it.  A loop
+   storing into its library's own data words lands here on every store, so
+   the walk allocates nothing and passes over libraries already dirty. *)
+let rec mark_dirty_owner addr = function
+  | [] -> ()
+  | l :: rest ->
+    if (not (Summary.dirty l)) && Summary.owns l addr then Summary.mark_dirty l;
+    mark_dirty_owner addr rest
+
 let create ?(profile = A.Device_profile.default) () =
   let vm = Vm.create () in
   let machine = Machine.create () in
@@ -1215,7 +1220,7 @@ let create ?(profile = A.Device_profile.default) () =
       d_slot_pool = Arg_pool.create (0, Taint.clear);
       d_arg_pool = Arg_pool.create (Dvalue.zero, Taint.clear);
       d_obs = Ndroid_obs.Ring.disabled;
-      lib_summaries = Hashtbl.create 8;
+      lib_summaries = [];
       use_summaries = false;
       summary_taint = (fun _ _ -> ());
       summaries_applied = 0;
@@ -1223,9 +1228,7 @@ let create ?(profile = A.Device_profile.default) () =
   in
   (* runtime writes into a loaded image invalidate its summaries *)
   Memory.on_code_write (Machine.mem machine) (fun addr ->
-      Hashtbl.iter
-        (fun _ l -> if Summary.owns l addr then Summary.mark_dirty l)
-        d.lib_summaries);
+      mark_dirty_owner addr d.lib_summaries);
   A.Framework.install vm;
   A.Sources.install vm profile;
   A.Sinks.install vm net fs monitor;

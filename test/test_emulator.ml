@@ -61,9 +61,9 @@ let test_events_sequence () =
   in
   Machine.load_program m prog;
   let insns = ref 0 and pres = ref 0 and posts = ref 0 and branches = ref 0 in
+  Machine.add_insn_hook m (fun _ _ -> incr insns);
   Machine.add_listener m (fun ev ->
       match ev with
-      | Machine.Ev_insn _ -> incr insns
       | Machine.Ev_host_pre _ -> incr pres
       | Machine.Ev_host_post _ -> incr posts
       | Machine.Ev_branch _ -> incr branches
@@ -226,7 +226,8 @@ let test_tracer_filters () =
   in
   Machine.load_program m prog;
   let seen = ref 0 in
-  let t = Tracer.attach ~handler:(fun ~addr:_ ~insn:_ -> incr seen) m in
+  let t = Tracer.create () in
+  Machine.add_insn_hook m (fun addr _ -> if Tracer.admit t addr then incr seen);
   ignore (Machine.call_native m ~addr:Layout.app_lib_base ~args:[] ());
   Alcotest.(check int) "traced" 2 (Tracer.traced t);
   Alcotest.(check int) "handler calls" 2 !seen

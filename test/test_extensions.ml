@@ -16,8 +16,8 @@ module Dvalue = Ndroid_dalvik.Dvalue
 module J = Ndroid_dalvik.Jbuilder
 module B = Ndroid_dalvik.Bytecode
 module Taint = Ndroid_taint.Taint
-module Taint_engine = Ndroid_core.Taint_engine
-module Insn_taint = Ndroid_core.Insn_taint
+module Taint_engine = Ndroid_emulator.Taint_engine
+module Insn_taint = Ndroid_emulator.Insn_taint
 module Ndroid = Ndroid_core.Ndroid
 module M = Ndroid_apps.Monkey
 module H = Ndroid_apps.Harness
@@ -181,7 +181,7 @@ let test_string_region_taint () =
   (* the NDroid hook must have tainted the native buffer *)
   let engine = Ndroid.engine nd in
   Alcotest.(check bool) "buffer tainted" true
-    (Ndroid_core.Taint_engine.tainted_bytes engine > 0)
+    (Ndroid_emulator.Taint_engine.tainted_bytes engine > 0)
 
 (* ---- input generation ---- *)
 

@@ -30,6 +30,7 @@ let () =
       ("pipeline", Test_pipeline.suite);
       ("service", Test_service.suite);
       ("obs", Test_obs.suite);
+      ("alloc", Test_alloc.suite);
       (* last: this suite spawns domains, and Unix.fork is illegal in
          OCaml 5 once any domain has ever existed in the process — every
          forking suite above must run first *)

@@ -138,11 +138,9 @@ let run_path ~superblocks prog c =
   Machine.load_program m prog;
   let engine = Taint_engine.create () in
   let cpu = Machine.cpu m in
-  let _tracer =
-    Tracer.attach
-      ~handler:(fun ~addr ~insn -> Insn_taint.step engine cpu ~addr insn)
-      m
-  in
+  let tracer = Tracer.create () in
+  Machine.add_insn_hook m (fun addr insn ->
+      if Tracer.admit tracer addr then Insn_taint.step engine cpu ~addr insn);
   if superblocks then ignore (Machine.enable_superblocks ~engine m : Superblock.t);
   seed_taints engine prog;
   let r0, r1 = Machine.call_native m ~addr:(Asm.fn_addr prog "f") ~args:c.args () in

@@ -4,8 +4,8 @@
 module Taint = Ndroid_taint.Taint
 module Insn = Ndroid_arm.Insn
 module Cpu = Ndroid_arm.Cpu
-module Taint_engine = Ndroid_core.Taint_engine
-module Insn_taint = Ndroid_core.Insn_taint
+module Taint_engine = Ndroid_emulator.Taint_engine
+module Insn_taint = Ndroid_emulator.Insn_taint
 module Source_policy = Ndroid_core.Source_policy
 module Ndroid = Ndroid_core.Ndroid
 module Flow_log = Ndroid_core.Flow_log

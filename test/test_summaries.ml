@@ -7,7 +7,7 @@ module Machine = Ndroid_emulator.Machine
 module Memory = Ndroid_arm.Memory
 module Taint = Ndroid_taint.Taint
 module Ndroid = Ndroid_core.Ndroid
-module Taint_engine = Ndroid_core.Taint_engine
+module Taint_engine = Ndroid_emulator.Taint_engine
 module A = Ndroid_android
 
 let check_taint = Alcotest.testable Taint.pp Taint.equal

@@ -95,11 +95,33 @@ let suite =
     Alcotest.test_case "report for a detection" `Quick test_report_detected;
     Alcotest.test_case "report for a clean run" `Quick test_report_clean ]
 
-(* ---- execution trace ---- *)
+(* ---- execution trace: the machine's records in an obs ring ---- *)
 
-module Trace = Ndroid_emulator.Trace
 module Machine = Ndroid_emulator.Machine
 module Layout = Ndroid_emulator.Layout
+module Ring = Ndroid_obs.Ring
+module Event = Ndroid_obs.Event
+
+type entry = Insn of int * Insn.t | Host_enter of string | Host_leave of string
+
+(* record a machine's activity into a fresh ring with instruction tracing
+   on; [entries] reads it back oldest first, copying out of the live
+   cells *)
+let trace ?capacity m =
+  let ring = Ring.create ?capacity ~tracing:true () in
+  Machine.set_obs m ring;
+  ring
+
+let entries ring =
+  List.rev
+    (Ring.fold
+       (fun acc r ->
+         match r.Event.e_kind with
+         | Event.K_insn -> Insn (r.Event.e_addr, r.Event.e_insn) :: acc
+         | Event.K_host_enter -> Host_enter r.Event.e_name :: acc
+         | Event.K_host_leave -> Host_leave r.Event.e_name :: acc
+         | _ -> acc)
+       [] ring)
 
 let test_trace_records_in_order () =
   let m = Machine.create () in
@@ -114,17 +136,16 @@ let test_trace_records_in_order () =
         Asm.I (Insn.pop [ Insn.pc ]) ]
   in
   Machine.load_program m prog;
-  let tr = Trace.attach m in
+  let ring = trace m in
   ignore (Machine.call_native m ~addr:Layout.app_lib_base ~args:[] ());
-  let es = Trace.entries tr in
+  let es = entries ring in
   Alcotest.(check bool) "starts with the first insn" true
     (match List.hd es with
-     | Trace.Insn { addr; _ } -> addr = Layout.app_lib_base
+     | Insn (addr, _) -> addr = Layout.app_lib_base
      | _ -> false);
   Alcotest.(check bool) "host boundaries present" true
-    (List.exists (function Trace.Host_enter "nop" -> true | _ -> false) es
-     && List.exists (function Trace.Host_leave "nop" -> true | _ -> false) es);
-  Alcotest.(check int) "total matches list" (List.length es) (Trace.total tr)
+    (List.mem (Host_enter "nop") es && List.mem (Host_leave "nop") es);
+  Alcotest.(check int) "total matches list" (List.length es) (Ring.total ring)
 
 let test_trace_ring_bounded () =
   let m = Machine.create () in
@@ -137,13 +158,13 @@ let test_trace_ring_bounded () =
         Asm.I Insn.bx_lr ]
   in
   Machine.load_program m prog;
-  let tr = Trace.attach ~capacity:32 m in
+  let ring = trace ~capacity:32 m in
   ignore (Machine.call_native m ~addr:Layout.app_lib_base ~args:[] ());
-  Alcotest.(check int) "ring keeps 32" 32 (List.length (Trace.entries tr));
-  Alcotest.(check bool) "but saw everything" true (Trace.total tr > 300);
+  Alcotest.(check int) "ring keeps 32" 32 (List.length (entries ring));
+  Alcotest.(check bool) "but saw everything" true (Ring.total ring > 300);
   Alcotest.(check bool) "tail ends with bx lr" true
-    (match List.rev (Trace.entries tr) with
-     | Trace.Insn { insn = Ndroid_arm.Insn.Bx _; _ } :: _ -> true
+    (match List.rev (entries ring) with
+     | Insn (_, Ndroid_arm.Insn.Bx _) :: _ -> true
      | _ -> false)
 
 let suite =
