@@ -4,8 +4,8 @@
     ({!Ndroid_static.Analyzer}), a full dynamic NDroid run
     ({!Ndroid_apps.Harness} + {!Ndroid_core.Ndroid}), or both — over
     either kind of subject, and always yields the one report shape
-    ({!Ndroid_report.Verdict.report}).  The pool's workers call {!run};
-    so do the in-process paths (`ndroid analyze --jobs 1`, tests). *)
+    ({!Ndroid_report.Verdict.report}).  Forked workers call {!run}; domain
+    workers and the in-process paths go through {!service_run}. *)
 
 val version : string
 (** Analyzer-version component of every cache key.  Bump whenever a change

@@ -1,29 +1,19 @@
-module Verdict = Ndroid_report.Verdict
 module Metrics = Ndroid_obs.Metrics
 module Ring = Ndroid_obs.Ring
-module Stream = Ndroid_obs.Stream
 
-type completion = {
-  dc_ticket : int;
-  dc_report : Verdict.report;
-  dc_seconds : float;
-  dc_events : Stream.event list;
-  dc_dropped : int;
-  dc_lost : int;
-}
+type completion = Worker.completion
 
 type t = {
   dp_service : Analysis.service;
   dp_lock : Mutex.t;
   dp_work : Condition.t;  (* signaled on submit and shutdown *)
   dp_done : Condition.t;  (* signaled on every completion *)
-  dp_queue : (int * Task.t) Shard_queue.t;
+  dp_queue : (int * int option * Task.t) Shard_queue.t;
   mutable dp_next_shard : int;  (* round-robin deal over worker shards *)
   mutable dp_uncollected : int;  (* completions since the last take *)
   mutable dp_completed : completion list;  (* newest first *)
   mutable dp_inflight : int;  (* submitted, not yet in dp_completed *)
   mutable dp_stop : bool;
-  mutable dp_trace : int option;  (* streaming throttle window, if tapped *)
   dp_notify_r : Unix.file_descr;
   dp_notify_w : Unix.file_descr;
   dp_metrics : Metrics.t option array;  (* one registry per worker *)
@@ -49,21 +39,19 @@ let drain_notify t =
   in
   go ()
 
-(* The worker body.  Identical in shape to {!Worker.loop} — per-task obs
-   ring, analyze, metrics — but the report returns by reference through
-   shared memory: no fork, no JSON, no pipe, no parse.  Fault markers are
-   not acted on (a domain cannot crash or be killed in isolation); the
-   {!Engine.Auto} policy routes fault-bearing work to the forked engine
-   instead. *)
+(* The task body is {!Worker.analyze}, as in a forked worker, but the
+   report returns by reference through shared memory: no fork, no JSON,
+   no pipe, no parse.  Fault markers are not acted on (a domain cannot
+   crash or be killed in isolation); the {!Engine.Auto} policy routes
+   fault-bearing work to the forked engine instead. *)
 let worker_loop t shard =
   (* one obs ring and one metrics registry for the worker's whole life —
      a fresh 4096-slot ring per task is most of the forked engine's
      per-task cost, and per-task registries would make the collector
      merge thousands of tables while the workers still compute *)
   let ring = Ring.create ~capacity:4096 () in
-  let m = Ring.metrics ring in
   Mutex.lock t.dp_lock;
-  t.dp_metrics.(shard) <- Some m;
+  t.dp_metrics.(shard) <- Some (Ring.metrics ring);
   Mutex.unlock t.dp_lock;
   let rec next () =
     Mutex.lock t.dp_lock;
@@ -75,56 +63,18 @@ let worker_loop t shard =
       else
         match Shard_queue.pop t.dp_queue ~shard with
         | Some job ->
-          (* the streaming window travels with the claim, read under the
-             lock: a task keeps the setting it started with *)
-          let trace = t.dp_trace in
           Mutex.unlock t.dp_lock;
-          Some (job, trace)
+          Some job
         | None ->
           Condition.wait t.dp_work t.dp_lock;
           claim ()
     in
     match claim () with
     | None -> ()
-    | Some ((ticket, task), trace) ->
-      (* the ring outlives the task (see above) but its event window must
-         not: provenance reconstruction reads the live window, and stale
-         events would graft one app's trace onto the next app's flows *)
-      Ring.clear ring;
-      let ow0 = Ring.overwritten ring in
-      let t0 = Unix.gettimeofday () in
-      let report, _cached = Analysis.service_run t.dp_service ~obs:ring task in
-      let dt = Unix.gettimeofday () -. t0 in
-      Metrics.incr (Metrics.counter m "tasks");
-      Metrics.observe (Metrics.histogram m "task_seconds") dt;
-      Metrics.observe_int
-        (Metrics.histogram m "task_bytecodes")
-        (Worker.meta_int "bytecodes" report);
-      Metrics.add
-        (Metrics.counter m "ring_overwritten")
-        (Ring.overwritten ring - ow0);
-      (* a fresh tap per task: the cleared ring restarted the seq clock,
-         and per-task throttle state is what the forked engine's
-         per-task worker has — the differential test depends on the two
-         engines suppressing the same events *)
-      let events, dropped, lost =
-        match trace with
-        | None -> ([], 0, 0)
-        | Some window ->
-          let tap = Stream.tap ~window () in
-          let events = Stream.drain tap ring in
-          Metrics.add
-            (Metrics.counter m "trace_events")
-            (List.length events);
-          Metrics.add (Metrics.counter m "trace_dropped")
-            (Stream.tap_dropped tap);
-          (events, Stream.tap_dropped tap, Stream.tap_missed tap)
-      in
+    | Some (ticket, trace, task) ->
+      let c = Worker.analyze ~service:t.dp_service ~ring ?trace ~ticket task in
       Mutex.lock t.dp_lock;
-      t.dp_completed <-
-        { dc_ticket = ticket; dc_report = report; dc_seconds = dt;
-          dc_events = events; dc_dropped = dropped; dc_lost = lost }
-        :: t.dp_completed;
+      t.dp_completed <- c :: t.dp_completed;
       t.dp_inflight <- t.dp_inflight - 1;
       t.dp_uncollected <- t.dp_uncollected + 1;
       (* wake the collector in batches, not per task: a waiter that stirs
@@ -162,7 +112,6 @@ let create ?(domains = 1) ~service () =
       dp_completed = [];
       dp_inflight = 0;
       dp_stop = false;
-      dp_trace = None;
       dp_notify_r = notify_r;
       dp_notify_w = notify_w;
       dp_metrics = Array.make domains None;
@@ -175,12 +124,7 @@ let create ?(domains = 1) ~service () =
 let domains t = Array.length t.dp_workers
 let notify_fd t = t.dp_notify_r
 
-let set_trace t window =
-  Mutex.lock t.dp_lock;
-  t.dp_trace <- window;
-  Mutex.unlock t.dp_lock
-
-let submit t ~ticket task =
+let submit t ~ticket ?trace task =
   Mutex.lock t.dp_lock;
   if t.dp_stop then begin
     Mutex.unlock t.dp_lock;
@@ -188,7 +132,7 @@ let submit t ~ticket task =
   end;
   let shard = t.dp_next_shard in
   t.dp_next_shard <- (shard + 1) mod Array.length t.dp_workers;
-  ignore (Shard_queue.push t.dp_queue ~shard (ticket, task));
+  ignore (Shard_queue.push t.dp_queue ~shard (ticket, trace, task));
   t.dp_inflight <- t.dp_inflight + 1;
   Condition.signal t.dp_work;
   Mutex.unlock t.dp_lock

@@ -1,36 +1,21 @@
-(** The in-process worker engine: a fixed set of OCaml 5 domains pulling
-    tasks from a mutex-protected {!Shard_queue} (one shard per domain,
-    cross-shard stealing preserved) and handing
-    {!Ndroid_report.Verdict.report} values back through shared memory.
+(** The in-process half of {!Executor}: a fixed set of OCaml 5 domains
+    pulling tasks from a mutex-protected {!Shard_queue} (one shard per
+    domain, cross-shard stealing preserved), running each through
+    {!Worker.analyze} and handing the {!Worker.completion} back through
+    shared memory — no fork, no JSON, no pipe.  All domains share the one
+    {!Analysis.service} (its own mutex makes that safe), so the warm layer
+    deduplicates across workers mid-sweep, and [Analysis.service_run]
+    stores each computed report as it returns.
 
-    This is what retires the fork + wire tax on the cold path: where the
-    forked engine pays a [fork()], a JSON serialization of the task, a
-    pipe write, a pipe read and a JSON parse of the verdict for every
-    cache miss, a domain worker pays a queue pop and a list cons.  All
-    domains share the one {!Analysis.service} (its own mutex makes that
-    safe), so the warm layer deduplicates across workers mid-sweep.
-
-    What this engine {e cannot} do — and why the forked engine stays:
-    a domain shares the process, so injected fault markers are ignored
-    (acting on [Crash]/[Kill] would kill the whole pipeline; this matches
-    {!Pool.run_inline}) and there is no SIGKILL timeout — a wedged task
-    wedges its domain.  {!Engine.Auto} routes work needing isolation to
-    fork.  The two engines never share a process: OCaml 5's [Unix.fork]
-    refuses once any domain has been spawned, so spawn this pool only in
-    a process that will not fork afterwards. *)
+    A domain shares the process, so fault markers are ignored and there
+    is no SIGKILL timeout: a wedged task wedges its domain ({!Engine.Auto}
+    routes work needing isolation to fork).  OCaml 5's [Unix.fork] refuses
+    once any domain has been spawned, so spawn this pool only in a process
+    that will not fork afterwards. *)
 
 type t
 
-type completion = {
-  dc_ticket : int;  (** the caller's id for the task, echoed back *)
-  dc_report : Ndroid_report.Verdict.report;
-  dc_seconds : float;  (** analysis wall time inside the domain *)
-  dc_events : Ndroid_obs.Stream.event list;
-      (** the task's throttled event stream — empty unless {!set_trace}
-          armed a tap before the task was claimed *)
-  dc_dropped : int;  (** throttle-suppressed events for this task *)
-  dc_lost : int;  (** events lost to ring wraparound for this task *)
-}
+type completion = Worker.completion
 
 val create : ?domains:int -> service:Analysis.service -> unit -> t
 (** Spawn [domains] (default 1) worker domains over [service] — capped at
@@ -40,10 +25,12 @@ val create : ?domains:int -> service:Analysis.service -> unit -> t
     their private heaps, have no such ceiling).  {!domains} reports the
     actual count. *)
 
-val submit : t -> ticket:int -> Task.t -> unit
+val submit : t -> ticket:int -> ?trace:int -> Task.t -> unit
 (** Enqueue one task; returns immediately.  Tickets are the caller's
-    correlation ids and need not be dense.  Raises [Invalid_argument]
-    after {!shutdown}. *)
+    correlation ids and need not be dense.  [trace] (a throttle window,
+    event-seq units) makes the task tap its ring and return the
+    surviving events on its completion.  Raises [Invalid_argument] after
+    {!shutdown}. *)
 
 val wait : t -> completion list
 (** Block until a completion batch is ready (or nothing is in flight),
@@ -58,13 +45,6 @@ val drain : t -> completion list
 
 val notify_fd : t -> Unix.file_descr
 (** Readable whenever completions may be pending; {!drain} empties it. *)
-
-val set_trace : t -> int option -> unit
-(** Arm ([Some window], in event-seq units) or disarm ([None]) live
-    streaming: each subsequently-claimed task drains its ring through a
-    fresh per-task {!Ndroid_obs.Stream.tap} and returns the surviving
-    events on its completion.  Tasks already mid-analysis keep the
-    setting they started with. *)
 
 val domains : t -> int
 val steals : t -> int

@@ -57,30 +57,6 @@ let counters_of_reports reports =
 
 let now () = Unix.gettimeofday ()
 
-(* The forked worker side lives in {!Worker.loop} — shared with the
-   `ndroid serve` daemon; the in-process side lives in {!Domain_pool}. *)
-
-(* ---------------------------------------------------------- parent side -- *)
-
-type slot = {
-  sl_shard : int;
-  mutable sl_pid : int;
-  mutable sl_task_w : Unix.file_descr;
-  mutable sl_result_r : Unix.file_descr;
-  mutable sl_reader : Wire.reader;
-  mutable sl_inflight : Task.t option;
-  mutable sl_deadline : float;  (* infinity = none *)
-  mutable sl_started : float;  (* dispatch time of the in-flight task *)
-  mutable sl_alive : bool;
-}
-
-let status_message = function
-  | Unix.WEXITED n -> Printf.sprintf "worker exited with status %d" n
-  | Unix.WSIGNALED n when n = Sys.sigkill -> "worker killed by SIGKILL"
-  | Unix.WSIGNALED n when n = Sys.sigsegv -> "worker killed by SIGSEGV"
-  | Unix.WSIGNALED n -> Printf.sprintf "worker killed by signal %d" n
-  | Unix.WSTOPPED n -> Printf.sprintf "worker stopped by signal %d" n
-
 let validate_ids tasks =
   List.iteri
     (fun i (t : Task.t) ->
@@ -105,28 +81,17 @@ let run cfg tasks =
   let t_start = now () in
   let total = List.length tasks in
   let results = Array.make total dummy_report in
-  let resolved = Array.make total false in
   let n_done = ref 0 in
   let from_workers = ref 0 in
-  let crashed = ref 0 in
-  let timeouts = ref 0 in
-  let respawns = ref 0 in
-  let injected_kills = ref 0 in
-  let steals = ref 0 in
   let analyze_cpu = ref 0.0 in
-  let fork_time = ref 0.0 in
   let digest_time = ref 0.0 in
-  (* the fork engine's tax, measured: serializing each task to its Wire
-     frame, parsing each result frame back, and re-absorbing the worker's
-     metrics registry from JSON.  Identically zero under the domain
-     engine — reports return by reference. *)
-  let wire_time = ref 0.0 in
-  (* sweep-wide metrics: parent-side counters plus every worker registry
-     merged as its results arrive *)
+  (* sweep-wide metrics: the parent's counters plus every worker
+     registry, merged once the engine is done *)
   let metrics = Metrics.create () in
   let mcount name n = Metrics.add (Metrics.counter metrics name) n in
-  let mobserve name v = Metrics.observe (Metrics.histogram metrics name) v in
-  let progress () =
+  let record id report =
+    results.(id) <- report;
+    incr n_done;
     match cfg.c_progress with
     | Some f -> f ~done_:!n_done ~total
     | None -> ()
@@ -136,7 +101,6 @@ let run cfg tasks =
      fires for these exactly as it does for worker results, so done_/total
      is monotone and complete whatever mix of hits and misses a sweep is *)
   let t_cache0 = now () in
-  let digests = Array.make total None in
   let pending =
     match cfg.c_cache with
     | None -> tasks
@@ -146,36 +110,19 @@ let run cfg tasks =
           (* digest first, timed, so the key derivation cost is
              attributed to its own phase; the probe below hits the memo *)
           let t_d0 = now () in
-          let d = Analysis.service_digest service task in
+          ignore (Analysis.service_digest service task);
           digest_time := !digest_time +. (now () -. t_d0);
           match Analysis.service_find service task with
           | Some (report, _) ->
-            results.(task.Task.t_id) <- report;
-            resolved.(task.Task.t_id) <- true;
-            incr n_done;
-            progress ();
+            record task.Task.t_id report;
             false
-          | None ->
-            digests.(task.Task.t_id) <- Some d;
-            true)
+          | None -> true)
         tasks
   in
   let cache_pass = now () -. t_cache0 in
   let cache_hits = !n_done in
   mcount "cache_hits" cache_hits;
   mcount "cache_misses" (total - cache_hits);
-  let record_resolved ?(store = true) id report =
-    if not resolved.(id) then begin
-      resolved.(id) <- true;
-      results.(id) <- report;
-      incr n_done;
-      (if store then
-         match digests.(id) with
-         | Some key -> Analysis.service_store service ~digest:key report
-         | None -> ());
-      progress ()
-    end
-  in
   let engine =
     Engine.resolve cfg.c_engine
       ~needs_isolation:
@@ -183,325 +130,67 @@ let run cfg tasks =
         || cfg.c_kill_worker_after <> None
         || List.exists (fun (t : Task.t) -> t.Task.t_fault <> None) pending)
   in
+  (* phase 2: the misses go through the executor, whichever engine *)
   let t_collect0 = now () in
-  (if pending <> [] then
-     match engine with
-     | Engine.Auto -> assert false  (* Engine.resolve never returns Auto *)
-     | Engine.Domains ->
-       (* the in-process engine: domains share [service] directly, so a
-          completion is a report by reference — nothing to parse, nothing
-          to re-store ([Analysis.service_run] stored it already).  Fault
-          markers and timeouts are not enforceable here; [Engine.Auto]
-          never routes such work to this branch. *)
-       let jobs = min cfg.c_jobs (max 1 (List.length pending)) in
-       let pool = Domain_pool.create ~domains:jobs ~service () in
-       List.iter
-         (fun (t : Task.t) -> Domain_pool.submit pool ~ticket:t.Task.t_id t)
-         pending;
-       while !n_done < total do
-         List.iter
-           (fun (c : Domain_pool.completion) ->
-             analyze_cpu := !analyze_cpu +. c.Domain_pool.dc_seconds;
-             incr from_workers;
-             record_resolved ~store:false c.Domain_pool.dc_ticket
-               c.Domain_pool.dc_report)
-           (Domain_pool.wait pool)
-       done;
-       (* everything is resolved, so the workers are idle: their
-          lifetime registries are stable and merge once per worker *)
-       List.iter (Metrics.merge metrics) (Domain_pool.metrics pool);
-       steals := Domain_pool.steals pool;
-       mcount "domains" (Domain_pool.domains pool);
-       Domain_pool.shutdown pool
-     | Engine.Fork ->
-       let jobs = min cfg.c_jobs (max 1 (List.length pending)) in
-       let queue = Shard_queue.create ~shards:jobs pending in
-       let prev_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-       let slots = Array.make jobs None in
-       let live_fds () =
-         Array.to_list slots
-         |> List.concat_map (function
-              | Some sl when sl.sl_alive -> [ sl.sl_task_w; sl.sl_result_r ]
-              | _ -> [])
-       in
-       let spawn shard =
-         let t0 = now () in
-         let task_r, task_w = Unix.pipe () in
-         let result_r, result_w = Unix.pipe () in
-         let inherited = live_fds () in
-         match Unix.fork () with
-         | 0 ->
-           (* the child must hold no descriptor of any sibling worker, or
-              the parent would never see that sibling's EOF when it dies *)
-           List.iter
-             (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-             inherited;
-           Unix.close task_w;
-           Unix.close result_r;
-           Worker.loop task_r result_w;
-           assert false
-         | pid ->
-           Unix.close task_r;
-           Unix.close result_w;
-           fork_time := !fork_time +. (now () -. t0);
-           { sl_shard = shard; sl_pid = pid; sl_task_w = task_w;
-             sl_result_r = result_r; sl_reader = Wire.create_reader ();
-             sl_inflight = None; sl_deadline = infinity; sl_started = 0.0;
-             sl_alive = true }
-       in
-       for i = 0 to jobs - 1 do
-         slots.(i) <- Some (spawn i)
-       done;
-       let bury sl =
-         sl.sl_alive <- false;
-         (try Unix.close sl.sl_task_w with Unix.Unix_error _ -> ());
-         (try Unix.close sl.sl_result_r with Unix.Unix_error _ -> ());
-         (try ignore (Unix.waitpid [] sl.sl_pid) with Unix.Unix_error _ -> ())
-       in
-       let reap_status sl =
-         sl.sl_alive <- false;
-         (try Unix.close sl.sl_task_w with Unix.Unix_error _ -> ());
-         (try Unix.close sl.sl_result_r with Unix.Unix_error _ -> ());
-         match Unix.waitpid [] sl.sl_pid with
-         | _, status -> status_message status
-         | exception Unix.Unix_error _ -> "worker vanished"
-       in
-       let respawn_if_needed shard =
-         if Shard_queue.remaining queue > 0 then begin
-           slots.(shard) <- Some (spawn shard);
-           incr respawns
-         end
-         else slots.(shard) <- None
-       in
-       let dispatch sl =
-         match Shard_queue.pop queue ~shard:sl.sl_shard with
-         | None -> ()
-         | Some task -> (
-           sl.sl_inflight <- Some task;
-           sl.sl_started <- now ();
-           sl.sl_deadline <-
-             (match cfg.c_timeout with
-              | Some t -> now () +. t
-              | None -> infinity);
-           let t_w0 = now () in
-           let payload = Json.to_string (Task.to_json task) in
-           match Wire.write_frame sl.sl_task_w payload with
-           | () -> wire_time := !wire_time +. (now () -. t_w0)
-           | exception Unix.Unix_error _ ->
-             (* the worker is already dead; the EOF handler below will
-                turn the in-flight task into a Crashed verdict and
-                respawn *)
-             wire_time := !wire_time +. (now () -. t_w0))
-       in
-       let inject_kill_if_due () =
-         match cfg.c_kill_worker_after with
-         | Some n when !from_workers >= n && !injected_kills = 0 ->
-           let victim = ref None in
-           Array.iter
-             (fun s ->
-               match (s, !victim) with
-               | Some sl, None when sl.sl_alive -> victim := Some sl
-               | _ -> ())
-             slots;
-           (match !victim with
-            | Some sl ->
-              incr injected_kills;
-              (try Unix.kill sl.sl_pid Sys.sigkill
-               with Unix.Unix_error _ -> ())
-              (* death is then observed as EOF, exactly like a real crash *)
-            | None -> ())
-         | _ -> ()
-       in
-       let handle_result_frame sl payload =
-         let t_w0 = now () in
-         let parsed =
-           match Json.of_string payload with
-           | Error _ -> None
-           (* the batch pool never requests streaming, but a shared worker
-              binary could still emit trace frames — they are not results *)
-           | Ok j when Json.member "trace" j <> None -> None
-           | Ok j ->
-             let id = Option.bind (Json.member "id" j) Json.int in
-             let seconds =
-               match Json.member "seconds" j with
-               | Some (Json.Float f) -> f
-               | Some (Json.Int i) -> float_of_int i
-               | _ -> 0.0
-             in
-             let report =
-               Option.map Verdict.report_of_json (Json.member "report" j)
-             in
-             (match (id, report) with
-              | Some id, Some (Ok report) when id >= 0 && id < total ->
-                (match Json.member "metrics" j with
-                 | Some m -> Metrics.merge_json metrics m
-                 | None -> ());
-                Some (id, seconds, report)
-              | _ -> None)
-         in
-         wire_time := !wire_time +. (now () -. t_w0);
-         match parsed with
-         | None -> ()
-         | Some (id, seconds, report) ->
-           analyze_cpu := !analyze_cpu +. seconds;
-           incr from_workers;
-           (match sl.sl_inflight with
-            | Some t when t.Task.t_id = id ->
-              sl.sl_inflight <- None;
-              sl.sl_deadline <- infinity
-            | _ -> ());
-           record_resolved id report;
-           inject_kill_if_due ()
-       in
-       (* Crashed and timed-out apps burned analysis time too: the worker
-          never reported it (it died), so the parent measures from
-          dispatch.  Without this, s_analyze_cpu only counted clean
-          completions. *)
-       let charge_lost_time sl =
-         let spent = Float.max 0.0 (now () -. sl.sl_started) in
-         analyze_cpu := !analyze_cpu +. spent;
-         mobserve "task_seconds" spent
-       in
-       let handle_death sl =
-         let why = reap_status sl in
-         (match sl.sl_inflight with
-          | Some task ->
-            incr crashed;
-            mcount "tasks" 1;
-            mcount "worker_crashes" 1;
-            charge_lost_time sl;
-            record_resolved task.Task.t_id
-              { Verdict.r_app = Task.subject_name task.Task.t_subject;
-                r_analysis = Task.mode_name task.Task.t_mode;
-                r_verdict = Verdict.Crashed why;
-                r_meta = [] };
-            sl.sl_inflight <- None
-          | None -> ());
-         respawn_if_needed sl.sl_shard
-       in
-       let handle_timeout sl =
-         (try Unix.kill sl.sl_pid Sys.sigkill with Unix.Unix_error _ -> ());
-         ignore (reap_status sl);
-         (match sl.sl_inflight with
-          | Some task ->
-            incr timeouts;
-            mcount "tasks" 1;
-            mcount "worker_timeouts" 1;
-            charge_lost_time sl;
-            record_resolved task.Task.t_id
-              { Verdict.r_app = Task.subject_name task.Task.t_subject;
-                r_analysis = Task.mode_name task.Task.t_mode;
-                r_verdict = Verdict.Timeout;
-                r_meta = [] };
-            sl.sl_inflight <- None
-          | None -> ());
-         respawn_if_needed sl.sl_shard
-       in
-       while !n_done < total do
-         (* keep every live worker busy *)
-         Array.iter
-           (function
-             | Some sl when sl.sl_alive && sl.sl_inflight = None ->
-               dispatch sl
-             | _ -> ())
-           slots;
-         let live =
-           Array.to_list slots
-           |> List.filter_map (function
-                | Some sl when sl.sl_alive -> Some sl
-                | _ -> None)
-         in
-         if live = [] then begin
-           (* every worker is gone and nothing can be dispatched: resolve
-              any leftovers as crashed rather than spinning forever *)
-           List.iter
-             (fun (task : Task.t) ->
-               if not resolved.(task.Task.t_id) then begin
-                 incr crashed;
-                 record_resolved task.Task.t_id
-                   { Verdict.r_app = Task.subject_name task.Task.t_subject;
-                     r_analysis = Task.mode_name task.Task.t_mode;
-                     r_verdict = Verdict.Crashed "worker pool exhausted";
-                     r_meta = [] }
-               end)
-             pending
-         end
-         else begin
-           let next_deadline =
-             List.fold_left
-               (fun acc sl -> Float.min acc sl.sl_deadline)
-               infinity live
-           in
-           let dt =
-             if next_deadline = infinity then 0.5
-             else Float.max 0.0 (Float.min 0.5 (next_deadline -. now ()))
-           in
-           let fds = List.map (fun sl -> sl.sl_result_r) live in
-           let readable, _, _ =
-             try Unix.select fds [] [] dt
-             with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-           in
-           List.iter
-             (fun fd ->
-               match List.find_opt (fun sl -> sl.sl_result_r = fd) live with
-               | None -> ()
-               | Some sl -> (
-                 if sl.sl_alive then
-                   match Wire.drain sl.sl_reader fd with
-                   | `Frames frames ->
-                     List.iter (handle_result_frame sl) frames
-                   | `Eof frames ->
-                     List.iter (handle_result_frame sl) frames;
-                     handle_death sl))
-             readable;
-           (* per-app budgets *)
-           let t = now () in
-           Array.iter
-             (function
-               | Some sl when sl.sl_alive && sl.sl_deadline <= t ->
-                 handle_timeout sl
-               | _ -> ())
-             slots
-         end
-       done;
-       (* orderly shutdown: EOF on the task pipes, then reap *)
-       Array.iter
-         (function Some sl when sl.sl_alive -> bury sl | _ -> ())
-         slots;
-       ignore (Sys.signal Sys.sigpipe prev_sigpipe);
-       steals := Shard_queue.steals queue);
-  let collect =
-    if pending = [] then 0.0 else now () -. t_collect0
+  let k =
+    if pending = [] then Executor.zero_counters
+    else begin
+      let ex =
+        Executor.create engine ~jobs:(min cfg.c_jobs (List.length pending))
+          service
+      in
+      List.iter
+        (fun (t : Task.t) ->
+          Executor.submit ex ~ticket:t.Task.t_id ?deadline:cfg.c_timeout t)
+        pending;
+      let kill_after = ref cfg.c_kill_worker_after in
+      while !n_done < total do
+        List.iter
+          (fun (c : Executor.completion) ->
+            analyze_cpu := !analyze_cpu +. c.seconds;
+            incr from_workers;
+            record c.ticket c.report;
+            match !kill_after with
+            | Some n when !from_workers >= n ->
+              kill_after := None;
+              Executor.kill_one ex
+            | _ -> ())
+          (Executor.wait ex)
+      done;
+      Executor.shutdown ex
+    end
   in
+  let collect = if pending = [] then 0.0 else now () -. t_collect0 in
+  List.iter (Metrics.merge metrics) k.Executor.metrics;
   let bytecodes, jni_crossings, focused_methods, skipped_bytecodes =
     counters_of_reports results
   in
   let evictions = Analysis.service_evictions service in
-  mcount "respawns" !respawns;
-  mcount "steals" !steals;
+  mcount "respawns" k.Executor.respawns;
+  mcount "steals" k.Executor.steals;
   mcount "evictions" evictions;
   mcount "phase_cache_us" (int_of_float (cache_pass *. 1e6));
   mcount "phase_digest_us" (int_of_float (!digest_time *. 1e6));
-  mcount "phase_fork_us" (int_of_float (!fork_time *. 1e6));
-  mcount "phase_wire_us" (int_of_float (!wire_time *. 1e6));
+  mcount "phase_fork_us" (int_of_float (k.Executor.fork_seconds *. 1e6));
+  mcount "phase_wire_us" (int_of_float (k.Executor.wire_seconds *. 1e6));
   mcount "phase_collect_us" (int_of_float (collect *. 1e6));
   ( results,
     { s_total = total;
       s_engine = Engine.name engine;
       s_from_workers = !from_workers;
       s_cache_hits = cache_hits;
-      s_crashed = !crashed;
-      s_timeouts = !timeouts;
-      s_respawns = !respawns;
-      s_steals = !steals;
+      s_crashed = k.Executor.crashed;
+      s_timeouts = k.Executor.timeouts;
+      s_respawns = k.Executor.respawns;
+      s_steals = k.Executor.steals;
       s_shed = 0;
-      s_injected_kills = !injected_kills;
+      s_injected_kills = k.Executor.kills;
       s_evictions = evictions;
       s_wall = now () -. t_start;
       s_cache_pass = cache_pass;
       s_digest = !digest_time;
-      s_fork = !fork_time;
-      s_wire = !wire_time;
+      s_fork = k.Executor.fork_seconds;
+      s_wire = k.Executor.wire_seconds;
       s_collect = collect;
       s_analyze_cpu = !analyze_cpu;
       s_bytecodes = bytecodes;

@@ -1,38 +1,22 @@
-(** The sharded worker pool: run the corpus through one of two engines and
-    collect one {!Ndroid_report.Verdict.report} per task.
+(** The batch sweep: run a corpus through one {!Executor} and collect
+    one {!Ndroid_report.Verdict.report} per task.
 
-    The {b forked engine} ({!Engine.Fork}) gives the three guarantees a
-    hostile market sweep needs:
-
-    - {b crash isolation}: a worker dying on one APK yields a [Crashed]
-      verdict for that app only; the pool reaps the corpse, respawns a
-      fresh worker and keeps sweeping;
-    - {b per-app timeouts}: a worker overrunning its wall-clock budget is
-      killed, the app records [Timeout], and the replacement worker picks
-      up the next task — pathological apps cost one budget each instead of
-      wedging the sweep;
-    - {b determinism}: results are ordered by task id and verdicts carry no
-      timing, so a sweep's JSON is bit-identical across [--jobs] values and
-      across runs.
-
-    The {b domain engine} ({!Engine.Domains} → {!Domain_pool}) trades the
-    first two away for the cold path: no fork, no Wire marshaling, no
-    parent-side reassembly — tasks and verdicts move through shared
-    memory, and all workers share one {!Analysis.service} warm layer.
-    Determinism holds identically (same analyzers, same canonical
-    reports).  Fault markers and timeouts are {e ignored} under a forced
-    [Domains] engine, exactly as {!run_inline} ignores them.
-
-    {!Engine.Auto} resolves per run: fork when the run needs process
+    An optional {!Cache} pass first answers unchanged apps without
+    dispatching them.  Every miss is then submitted to an executor of the
+    engine {!Engine.resolve} picks: fork when the run needs process
     isolation (a timeout, an injected kill, any fault-marked task),
-    domains otherwise.  The engines never mix inside one process —
-    OCaml 5's [Unix.fork] refuses after a domain has been spawned — so a
-    process that ran a domains sweep cannot run a forked one afterwards.
+    domains otherwise.  Under the forked engine a worker dying on one APK
+    yields a [Crashed] verdict for that app only, and a worker overrunning
+    its budget is killed and the app records [Timeout]; either way the
+    worker is replaced and the sweep goes on.  Under a forced [Domains]
+    engine, fault markers and timeouts are ignored, as {!run_inline}
+    ignores them.  A process that ran a domains sweep cannot run a forked
+    one afterwards: OCaml 5's [Unix.fork] refuses once a domain has been
+    spawned.
 
-    Work is dealt over one {!Shard_queue} shard per worker with stealing
-    under either engine, and an optional {!Cache} answers unchanged apps
-    without dispatching them at all.  Timing lives in the aggregate
-    {!stats}, per phase. *)
+    Results are ordered by task id and verdicts carry no timing, so a
+    sweep's JSON is bit-identical across [--jobs], engines and runs.
+    Timing lives in the aggregate {!stats}, per phase. *)
 
 type config = {
   c_jobs : int;  (** worker processes or domains; >= 1 *)
@@ -60,11 +44,11 @@ type stats = {
       (** the engine that executed this run's cache misses ("fork" or
           "domains"), after {!Engine.Auto} resolution *)
   s_from_workers : int;
-      (** completed by the engine, either kind (includes crashed/timeout) *)
+      (** completed by the executor, crashed and timed-out apps included *)
   s_cache_hits : int;
-  s_crashed : int;  (** [Crashed] verdicts recorded by the pool *)
-  s_timeouts : int;  (** [Timeout] verdicts recorded by the pool *)
-  s_respawns : int;  (** replacement workers forked mid-sweep *)
+  s_crashed : int;  (** apps lost to a worker's death *)
+  s_timeouts : int;  (** apps killed at their budget *)
+  s_respawns : int;  (** workers replaced after a death or a deadline kill *)
   s_steals : int;  (** cross-shard steals in the work queue *)
   s_shed : int;
       (** requests refused by admission control.  Always [0] in a batch
@@ -88,7 +72,7 @@ type stats = {
           frames, parsing result frames, re-absorbing worker metrics from
           JSON.  Identically [0.] under the domain engine, which is the
           cold-path win measured by the bench's engine rows *)
-  s_collect : float;  (** phase: dispatch/select/collect loop *)
+  s_collect : float;  (** phase: the executor's whole life *)
   s_analyze_cpu : float;
       (** sum of per-task analysis seconds measured inside workers — the
           serial-equivalent work the sweep performed *)
@@ -111,12 +95,10 @@ type stats = {
           the post-hoc provenance gap, attributable instead of silent *)
   s_metrics : Ndroid_report.Json.t;
       (** the sweep-wide observability registry
-          ({!Ndroid_obs.Metrics.to_json} shape): every worker's per-task
-          registry — shipped in result frames (fork) or merged by
-          reference (domains) — combined with the parent's own counters
-          (cache hits/misses, respawns, steals, evictions, per-phase
-          timings) and histograms ([task_seconds] covers clean, crashed
-          {e and} timed-out apps) *)
+          ({!Ndroid_obs.Metrics.to_json} shape): the executor's registries
+          combined with the parent's own counters (cache hits/misses,
+          respawns, steals, evictions, per-phase timings) and histograms
+          ([task_seconds] covers clean, crashed {e and} timed-out apps) *)
 }
 
 val counters_of_reports :

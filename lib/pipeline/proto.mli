@@ -53,7 +53,11 @@ type message =
           events back as broadcast [Trace] frames *)
   | Verdict of { vd_req : int;
                  vd_cached : bool;  (** answered from the warm cache *)
-                 vd_seconds : float;  (** analysis seconds (0 if cached) *)
+                 vd_seconds : float;
+                     (** analysis seconds (0 if cached); for a [Crashed] or
+                         [Timeout] verdict, the seconds from dispatch to
+                         the worker's death or kill, as the batch charges
+                         them to [task_seconds] *)
                  vd_report : Ndroid_report.Verdict.report }
       (** terminal response: the analysis result *)
   | Progress of { pg_req : int; pg_state : string; pg_depth : int }

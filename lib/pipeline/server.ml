@@ -80,7 +80,7 @@ type entry = {
   e_task : Task.t;
   e_key : string option;  (* digest; the single-flight identity *)
   mutable e_waiters : waiter list;  (* newest first *)
-  e_deadline : float option;
+  e_deadline : float option;  (* the request's budget, else the default *)
 }
 
 type client = {
@@ -92,26 +92,6 @@ type client = {
   mutable cl_closing : bool;  (* close once cl_out drains *)
   mutable cl_sub : sub option;  (* live trace subscription, if any *)
 }
-
-type worker = {
-  wk_slot : int;
-  mutable wk_pid : int;
-  mutable wk_task_w : Unix.file_descr;
-  mutable wk_result_r : Unix.file_descr;
-  mutable wk_reader : Wire.reader;
-  mutable wk_inflight : entry option;
-  mutable wk_deadline : float;  (* infinity = none *)
-  mutable wk_alive : bool;
-}
-
-let now () = Unix.gettimeofday ()
-
-let status_message = function
-  | Unix.WEXITED n -> Printf.sprintf "worker exited with status %d" n
-  | Unix.WSIGNALED n when n = Sys.sigkill -> "worker killed by SIGKILL"
-  | Unix.WSIGNALED n when n = Sys.sigsegv -> "worker killed by SIGSEGV"
-  | Unix.WSIGNALED n -> Printf.sprintf "worker killed by signal %d" n
-  | Unix.WSTOPPED n -> Printf.sprintf "worker stopped by signal %d" n
 
 let serve cfg =
   let log fmt =
@@ -130,8 +110,7 @@ let serve cfg =
   let service = Analysis.service ?cache:cfg.s_cache () in
   let requests = ref 0 and served = ref 0 and cache_hits = ref 0 in
   let coalesced = ref 0 and analyses = ref 0 in
-  let shed = ref 0 and crashed = ref 0 and timeouts = ref 0 in
-  let respawns = ref 0 and clients_total = ref 0 in
+  let shed = ref 0 and clients_total = ref 0 in
   let subscribers = ref 0 in
   let trace_events = ref 0 and trace_dropped = ref 0 and trace_lost = ref 0 in
   let next_task_id = ref 0 in
@@ -144,9 +123,8 @@ let serve cfg =
      last waiter disconnects while it is still queued) *)
   let inflight : (string, entry) Hashtbl.t = Hashtbl.create 256 in
   let clients : client option array = Array.make cfg.s_max_clients None in
-  let workers : worker option array =
-    Array.make (if engine = Engine.Fork then cfg.s_jobs else 0) None
-  in
+  (* ticket (the task id) -> the entry an executor task is running for *)
+  let running : (int, entry) Hashtbl.t = Hashtbl.create 16 in
   (* ---- lifecycle ---- *)
   (try Unix.unlink cfg.s_socket with Unix.Unix_error _ -> ());
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -157,57 +135,18 @@ let serve cfg =
   let stoppable s = Sys.signal s (Sys.Signal_handle (fun _ -> stop := true)) in
   let prev_term = stoppable Sys.sigterm in
   let prev_int = stoppable Sys.sigint in
-  let prev_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  let prev_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   let should_stop () =
     !stop || (match cfg.s_stop with Some f -> f () | None -> false)
   in
-  (* ---- forked workers ---- *)
-  let foreign_fds () =
-    let acc = ref [ listen_fd ] in
-    Array.iter
-      (function
-        | Some c -> acc := c.cl_fd :: !acc
-        | None -> ())
-      clients;
-    Array.iter
-      (function
-        | Some w when w.wk_alive -> acc := w.wk_task_w :: w.wk_result_r :: !acc
-        | _ -> ())
-      workers;
-    !acc
+  (* a worker must hold no descriptor of the socket or of any client, or
+     a departed client's EOF goes unseen *)
+  let client_fds () =
+    listen_fd
+    :: List.filter_map (Option.map (fun c -> c.cl_fd)) (Array.to_list clients)
   in
-  let spawn slot =
-    let task_r, task_w = Unix.pipe () in
-    let result_r, result_w = Unix.pipe () in
-    let inherited = foreign_fds () in
-    match Unix.fork () with
-    | 0 ->
-      (* a worker must hold no descriptor of the socket, any client, or
-         any sibling — or EOFs (client gone, sibling dead) go unseen *)
-      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-        inherited;
-      Unix.close task_w;
-      Unix.close result_r;
-      Worker.loop task_r result_w;
-      assert false
-    | pid ->
-      Unix.close task_r;
-      Unix.close result_w;
-      { wk_slot = slot; wk_pid = pid; wk_task_w = task_w;
-        wk_result_r = result_r; wk_reader = Wire.create_reader ();
-        wk_inflight = None; wk_deadline = infinity; wk_alive = true }
-  in
-  for i = 0 to Array.length workers - 1 do
-    workers.(i) <- Some (spawn i)
-  done;
-  (* ---- domain workers (created after any forking, never before) ---- *)
-  let dom_pool =
-    if engine = Engine.Domains then
-      Some (Domain_pool.create ~domains:cfg.s_jobs ~service ())
-    else None
-  in
-  let dom_slots : entry option array =
-    Array.make (if engine = Engine.Domains then cfg.s_jobs else 0) None
+  let ex =
+    Executor.create ~close_in_child:client_fds engine ~jobs:cfg.s_jobs service
   in
   (* ---- client output: buffered, non-blocking ---- *)
   let waiter_live (w : waiter) =
@@ -281,15 +220,6 @@ let serve cfg =
     | Some c when c.cl_gen = w.w_gen -> queue_out c msg
     | _ -> ()
   in
-  (* terminal fan-out: one response per waiter, oldest submit first *)
-  let resolve_entry (e : entry) msg_of_waiter =
-    unlink_entry e;
-    List.iter
-      (fun (w : waiter) ->
-        incr served;
-        deliver_waiter w (msg_of_waiter w))
-      (List.rev e.e_waiters)
-  in
   (* ---- trace fan-out: shed, never stall ---- *)
   (* A trace frame is queued only if the client's outbound buffer stays
      under the stream bound; otherwise the whole frame is shed and its
@@ -316,18 +246,19 @@ let serve cfg =
   let sub_wants_cat (s : sub) (ev : Stream.event) =
     s.sb_cats = [] || List.mem (Event.category ev.Stream.ev_kind) s.sb_cats
   in
-  let deliver_sub (c : client) (s : sub) ~app ~events ~dropped ~lost =
+  let deliver_sub (c : client) (s : sub) (cp : Executor.completion) =
+    let app = cp.report.Verdict.r_app in
     if sub_wants_app s app then begin
-      s.sb_updropped <- s.sb_updropped + dropped;
-      s.sb_uplost <- s.sb_uplost + lost;
+      s.sb_updropped <- s.sb_updropped + cp.dropped;
+      s.sb_uplost <- s.sb_uplost + cp.lost;
       let d0 = Stream.dropped s.sb_throttle in
       let kept =
         List.filter
           (fun ev -> sub_wants_cat s ev && Stream.admit s.sb_throttle ev)
-          events
+          cp.events
       in
       trace_dropped := !trace_dropped + (Stream.dropped s.sb_throttle - d0);
-      if kept <> [] || dropped > 0 || lost > 0 then begin
+      if kept <> [] || cp.dropped > 0 || cp.lost > 0 then begin
         let msg =
           Proto.Trace
             { tc_req = -1; tc_app = app; tc_events = kept;
@@ -342,7 +273,13 @@ let serve cfg =
       end
     end
   in
-  let deliver_trace_waiters (e : entry) ~app ~events ~dropped ~lost =
+  (* a finished task's events: req-matched and unfiltered to the
+     entry's trace waiters, filtered and throttled to every subscriber *)
+  let fanout_trace (e : entry) (cp : Executor.completion) =
+    let n = List.length cp.events in
+    trace_events := !trace_events + n;
+    trace_dropped := !trace_dropped + cp.dropped;
+    trace_lost := !trace_lost + cp.lost;
     List.iter
       (fun (w : waiter) ->
         if w.w_trace then
@@ -350,27 +287,16 @@ let serve cfg =
           | Some c when c.cl_gen = w.w_gen ->
             let msg =
               Proto.Trace
-                { tc_req = w.w_req; tc_app = app; tc_events = events;
-                  tc_dropped = dropped; tc_lost = lost }
+                { tc_req = w.w_req; tc_app = cp.report.Verdict.r_app;
+                  tc_events = cp.events; tc_dropped = cp.dropped;
+                  tc_lost = cp.lost }
             in
-            if not (queue_trace c msg) then
-              trace_lost := !trace_lost + List.length events
+            if not (queue_trace c msg) then trace_lost := !trace_lost + n
           | _ -> ())
-      (List.rev e.e_waiters)
-  in
-  let fanout_trace ?entry ~app ~events ~dropped ~lost () =
-    trace_events := !trace_events + List.length events;
-    trace_dropped := !trace_dropped + dropped;
-    trace_lost := !trace_lost + lost;
-    (match entry with
-     | Some e -> deliver_trace_waiters e ~app ~events ~dropped ~lost
-     | None -> ());
+      (List.rev e.e_waiters);
     Array.iter
       (function
-        | Some c -> (
-          match c.cl_sub with
-          | Some s -> deliver_sub c s ~app ~events ~dropped ~lost
-          | None -> ())
+        | Some c -> Option.iter (fun s -> deliver_sub c s cp) c.cl_sub
         | None -> ())
       clients
   in
@@ -413,7 +339,7 @@ let serve cfg =
              vd_report = report })
     | None ->
       if
-        engine = Engine.Domains
+        (not (Executor.isolated ex))
         && (task.Task.t_fault <> None || s.Proto.sb_deadline <> None)
       then begin
         (* domains cannot act a fault or be killed at a deadline; refusing
@@ -451,7 +377,10 @@ let serve cfg =
               e_waiters =
                 [ { w_slot = c.cl_slot; w_gen = c.cl_gen;
                     w_req = s.Proto.sb_req; w_trace = s.Proto.sb_trace } ];
-              e_deadline = s.Proto.sb_deadline }
+              e_deadline =
+                (match s.Proto.sb_deadline with
+                 | None -> cfg.s_deadline
+                 | d -> d) }
           in
           if Shard_queue.push queue ~shard:c.cl_slot entry then begin
             (match key with
@@ -509,192 +438,41 @@ let serve cfg =
       queue_out c (Proto.Error e);
       c.cl_closing <- true
   in
-  (* ---- forked workers: dispatch, results, death, deadlines ---- *)
-  let dispatch (w : worker) =
-    match Shard_queue.pop_rr queue with
-    | None -> ()
-    | Some entry -> (
-      w.wk_inflight <- Some entry;
-      w.wk_deadline <-
-        (match (entry.e_deadline, cfg.s_deadline) with
-         | Some d, _ | None, Some d -> now () +. d
-         | None, None -> infinity);
-      (* the streaming request rides the task frame as an extra member the
-         worker understands and {!Task.of_json} ignores *)
-      let payload =
-        match (worker_window entry, Task.to_json entry.e_task) with
-        | Some win, Json.Obj fields ->
-          Json.Obj (fields @ [ ("trace", Json.Int win) ])
-        | _, j -> j
-      in
-      match Wire.write_frame w.wk_task_w (Json.to_string payload) with
-      | () -> ()
-      | exception Unix.Unix_error _ ->
-        (* already dead; the EOF handler resolves the entry *)
-        ())
+  (* ---- the executor: dispatch and completions ---- *)
+  (* submit only while a worker is idle, so the backlog stays in the
+     round-robin queue, where fairness and shedding act on it *)
+  let rec dispatch () =
+    if Executor.idle ex > 0 then
+      match Shard_queue.pop_rr queue with
+      | None -> ()
+      | Some e ->
+        let ticket = e.e_task.Task.t_id in
+        Hashtbl.replace running ticket e;
+        Executor.submit ex ~ticket ?deadline:e.e_deadline
+          ?trace:(worker_window e) e.e_task;
+        dispatch ()
   in
-  let reap_status (w : worker) =
-    w.wk_alive <- false;
-    (try Unix.close w.wk_task_w with Unix.Unix_error _ -> ());
-    (try Unix.close w.wk_result_r with Unix.Unix_error _ -> ());
-    match Unix.waitpid [] w.wk_pid with
-    | _, status -> status_message status
-    | exception Unix.Unix_error _ -> "worker vanished"
-  in
-  let respawn (w : worker) =
-    (* the daemon is long-lived: a dead worker is always replaced *)
-    workers.(w.wk_slot) <- Some (spawn w.wk_slot);
-    incr respawns
-  in
-  let resolve_inflight (w : worker) verdict =
-    match w.wk_inflight with
+  let complete (cp : Executor.completion) =
+    match Hashtbl.find_opt running cp.ticket with
     | None -> ()
     | Some e ->
+      Hashtbl.remove running cp.ticket;
       incr analyses;
-      resolve_entry e (fun wtr ->
-          Proto.Verdict
-            { vd_req = wtr.w_req; vd_cached = false; vd_seconds = 0.0;
-              vd_report =
-                { Verdict.r_app = Task.subject_name e.e_task.Task.t_subject;
-                  r_analysis = Task.mode_name e.e_task.Task.t_mode;
-                  r_verdict = verdict;
-                  r_meta = [] } });
-      w.wk_inflight <- None
-  in
-  let handle_worker_death (w : worker) =
-    let why = reap_status w in
-    (match w.wk_inflight with
-     | Some _ ->
-       incr crashed;
-       log "worker %d died (%s) mid-request" w.wk_slot why
-     | None -> ());
-    resolve_inflight w (Verdict.Crashed why);
-    respawn w
-  in
-  let handle_worker_timeout (w : worker) =
-    (try Unix.kill w.wk_pid Sys.sigkill with Unix.Unix_error _ -> ());
-    ignore (reap_status w);
-    incr timeouts;
-    resolve_inflight w Verdict.Timeout;
-    respawn w
-  in
-  (* a worker's trace frame: decode once, deliver req-matched to the
-     entry's trace waiters and filtered/throttled to every subscriber.
-     Trace frames precede the result frame on the pipe, so events always
-     reach a tracing client before its verdict. *)
-  let handle_trace_payload (w : worker) tj =
-    let id =
-      Option.value ~default:(-1) (Option.bind (Json.member "id" tj) Json.int)
-    in
-    let app =
-      Option.value ~default:"?" (Option.bind (Json.member "app" tj) Json.str)
-    in
-    let events =
-      match Option.bind (Json.member "events" tj) Json.list with
-      | None -> []
-      | Some l ->
-        List.filter_map
-          (fun ej -> Result.to_option (Stream.event_of_json ej))
-          l
-    in
-    let dropped =
-      Option.value ~default:0 (Option.bind (Json.member "dropped" tj) Json.int)
-    in
-    let lost =
-      Option.value ~default:0 (Option.bind (Json.member "lost" tj) Json.int)
-    in
-    let entry =
-      match w.wk_inflight with
-      | Some e when e.e_task.Task.t_id = id -> Some e
-      | _ -> None
-    in
-    fanout_trace ?entry ~app ~events ~dropped ~lost ()
-  in
-  let handle_result_frame (w : worker) payload =
-    match Json.of_string payload with
-    | Error _ -> ()
-    | Ok j when Json.member "trace" j <> None -> (
-      match Json.member "trace" j with
-      | Some tj -> handle_trace_payload w tj
-      | None -> ())
-    | Ok j ->
-      let id = Option.bind (Json.member "id" j) Json.int in
-      let seconds =
-        match Json.member "seconds" j with
-        | Some (Json.Float f) -> f
-        | Some (Json.Int i) -> float_of_int i
-        | _ -> 0.0
-      in
-      let report =
-        Option.map Verdict.report_of_json (Json.member "report" j)
-      in
-      (match (id, report, w.wk_inflight) with
-       | Some id, Some (Ok report), Some e when e.e_task.Task.t_id = id ->
-         w.wk_inflight <- None;
-         w.wk_deadline <- infinity;
-         incr analyses;
-         if e.e_task.Task.t_fault = None then
-           Analysis.service_store service
-             ~digest:(Analysis.service_digest service e.e_task)
-             report;
-         resolve_entry e (fun wtr ->
-             Proto.Verdict
-               { vd_req = wtr.w_req; vd_cached = false; vd_seconds = seconds;
-                 vd_report = report })
-       | _ -> ())
-  in
-  (* ---- domain workers: dispatch and completions ---- *)
-  let free_dom_slot () =
-    let found = ref None in
-    Array.iteri
-      (fun i e -> if !found = None && e = None then found := Some i)
-      dom_slots;
-    !found
-  in
-  let dispatch_domains pool =
-    let rec go () =
-      match free_dom_slot () with
-      | None -> ()
-      | Some ticket -> (
-        match Shard_queue.pop_rr queue with
-        | None -> ()
-        | Some entry ->
-          (* arm (or disarm) the pool's tap before the task can be
-             claimed; the window travels with the claim *)
-          Domain_pool.set_trace pool (worker_window entry);
-          dom_slots.(ticket) <- Some entry;
-          Domain_pool.submit pool ~ticket entry.e_task;
-          go ())
-    in
-    go ()
-  in
-  let handle_dom_completions pool =
-    List.iter
-      (fun (c : Domain_pool.completion) ->
-        match dom_slots.(c.Domain_pool.dc_ticket) with
-        | None -> ()
-        | Some entry ->
-          dom_slots.(c.Domain_pool.dc_ticket) <- None;
-          incr analyses;
-          (* events first, verdict second: same ordering contract as the
-             forked worker's pipe *)
-          if
-            c.Domain_pool.dc_events <> []
-            || c.Domain_pool.dc_dropped > 0
-            || c.Domain_pool.dc_lost > 0
-          then
-            fanout_trace ~entry
-              ~app:c.Domain_pool.dc_report.Verdict.r_app
-              ~events:c.Domain_pool.dc_events
-              ~dropped:c.Domain_pool.dc_dropped ~lost:c.Domain_pool.dc_lost
-              ();
-          (* [Analysis.service_run] already stored a cacheable report *)
-          resolve_entry entry (fun wtr ->
-              Proto.Verdict
-                { vd_req = wtr.w_req; vd_cached = false;
-                  vd_seconds = c.Domain_pool.dc_seconds;
-                  vd_report = c.Domain_pool.dc_report }))
-      (Domain_pool.drain pool)
+      (match cp.report.Verdict.r_verdict with
+       | Verdict.Crashed why -> log "%s crashed (%s)" cp.report.Verdict.r_app why
+       | _ -> ());
+      (* events first, verdict second *)
+      if cp.events <> [] || cp.dropped > 0 || cp.lost > 0 then fanout_trace e cp;
+      unlink_entry e;
+      (* terminal fan-out: one response per waiter, oldest submit first *)
+      List.iter
+        (fun (w : waiter) ->
+          incr served;
+          deliver_waiter w
+            (Proto.Verdict
+               { vd_req = w.w_req; vd_cached = false; vd_seconds = cp.seconds;
+                 vd_report = cp.report }))
+        (List.rev e.e_waiters)
   in
   (* ---- accept ---- *)
   let free_slot () =
@@ -736,22 +514,9 @@ let serve cfg =
     (Engine.name engine) cfg.s_jobs cfg.s_depth;
   while not (should_stop ()) do
     (* keep every worker busy before sleeping *)
-    Array.iter
-      (function
-        | Some w when w.wk_alive && w.wk_inflight = None -> dispatch w
-        | _ -> ())
-      workers;
-    (match dom_pool with Some p -> dispatch_domains p | None -> ());
-    let rfds = ref [ listen_fd ] in
+    dispatch ();
+    let rfds = ref (listen_fd :: Executor.fds ex) in
     let wfds = ref [] in
-    Array.iter
-      (function
-        | Some w when w.wk_alive -> rfds := w.wk_result_r :: !rfds
-        | _ -> ())
-      workers;
-    (match dom_pool with
-     | Some p -> rfds := Domain_pool.notify_fd p :: !rfds
-     | None -> ());
     Array.iter
       (function
         | Some c ->
@@ -759,36 +524,12 @@ let serve cfg =
           if c.cl_out <> "" then wfds := c.cl_fd :: !wfds
         | None -> ())
       clients;
-    let next_deadline =
-      Array.fold_left
-        (fun acc w ->
-          match w with
-          | Some w when w.wk_alive -> Float.min acc w.wk_deadline
-          | _ -> acc)
-        infinity workers
-    in
-    let dt =
-      if next_deadline = infinity then 0.5
-      else Float.max 0.0 (Float.min 0.5 (next_deadline -. now ()))
-    in
     let readable, writable, _ =
-      try Unix.select !rfds !wfds [] dt
+      try Unix.select !rfds !wfds [] (Executor.timeout ex)
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in
     if List.mem listen_fd readable then accept_clients ();
-    (* worker results *)
-    Array.iter
-      (function
-        | Some w when w.wk_alive && List.mem w.wk_result_r readable -> (
-          match Wire.drain w.wk_reader w.wk_result_r with
-          | `Frames frames -> List.iter (handle_result_frame w) frames
-          | `Eof frames ->
-            List.iter (handle_result_frame w) frames;
-            handle_worker_death w)
-        | _ -> ())
-      workers;
-    (* domain completions (the notify fd is edge enough: drain always) *)
-    (match dom_pool with Some p -> handle_dom_completions p | None -> ());
+    List.iter complete (Executor.collect ex readable);
     (* client traffic *)
     Array.iter
       (function
@@ -807,15 +548,7 @@ let serve cfg =
       (function
         | Some c when List.mem c.cl_fd writable -> flush_client c
         | _ -> ())
-      clients;
-    (* per-request budgets *)
-    let t = now () in
-    Array.iter
-      (function
-        | Some w when w.wk_alive && w.wk_deadline <= t ->
-          handle_worker_timeout w
-        | _ -> ())
-      workers
+      clients
   done;
   (* ---- orderly shutdown ---- *)
   log "shutting down";
@@ -824,18 +557,9 @@ let serve cfg =
       | Some c -> flush_client c
       | None -> ())
     clients;
-  Array.iter
-    (function
-      | Some w when w.wk_alive ->
-        (try Unix.close w.wk_task_w with Unix.Unix_error _ -> ());
-        (try Unix.close w.wk_result_r with Unix.Unix_error _ -> ());
-        (try Unix.kill w.wk_pid Sys.sigkill with Unix.Unix_error _ -> ());
-        (try ignore (Unix.waitpid [] w.wk_pid) with Unix.Unix_error _ -> ())
-      | _ -> ())
-    workers;
-  (* a domain mid-analysis finishes first (it cannot be killed); its
-     verdict is discarded with the pool *)
-  (match dom_pool with Some p -> Domain_pool.shutdown p | None -> ());
+  (* forked workers are killed; a domain mid-analysis finishes first (it
+     cannot be killed) and its verdict is discarded *)
+  let k = Executor.shutdown ex in
   Array.iter
     (function
       | Some c -> ( try Unix.close c.cl_fd with Unix.Unix_error _ -> ())
@@ -845,11 +569,11 @@ let serve cfg =
   (try Unix.unlink cfg.s_socket with Unix.Unix_error _ -> ());
   ignore (Sys.signal Sys.sigterm prev_term);
   ignore (Sys.signal Sys.sigint prev_int);
-  ignore (Sys.signal Sys.sigpipe prev_pipe);
+  ignore (Sys.signal Sys.sigpipe prev_sigpipe);
   { sv_requests = !requests; sv_served = !served;
     sv_cache_hits = !cache_hits; sv_coalesced = !coalesced;
-    sv_analyses = !analyses; sv_shed = !shed; sv_crashed = !crashed;
-    sv_timeouts = !timeouts; sv_respawns = !respawns;
+    sv_analyses = !analyses; sv_shed = !shed; sv_crashed = k.Executor.crashed;
+    sv_timeouts = k.Executor.timeouts; sv_respawns = k.Executor.respawns;
     sv_evictions = Analysis.service_evictions service;
     sv_clients = !clients_total;
     sv_subscribers = !subscribers;

@@ -9,15 +9,18 @@
     or a [Shed] when the bounded queue is full.  Overload degrades by
     refusing loudly, never by stalling or dropping.
 
-    {b Engines.}  The daemon runs exactly one {!Engine} for its whole
-    life (the two cannot share a process — [Unix.fork] refuses once a
-    domain exists).  [Fork] keeps persistent worker processes: crash
-    isolation, per-request deadlines, fault injection.  [Domains] keeps
-    worker domains over a shared {!Analysis.service}: no fork, no wire
-    marshaling — but a submit that needs isolation (a fault marker or a
-    per-request deadline) is {e shed} with an explanatory reason rather
-    than silently mis-served.  [Auto] resolves at startup: fork iff a
-    default deadline was configured, domains otherwise.
+    {b Engines.}  Analyses run on one {!Executor} — the batch's — for the
+    daemon's whole life, so one {!Engine} too (the two cannot share a
+    process: [Unix.fork] refuses once a domain exists).  [Fork] keeps
+    persistent worker processes: crash isolation, per-request deadlines,
+    fault injection.  A worker crashing (or overrunning its deadline and
+    being killed) yields a [Crashed] / [Timeout] verdict for that one
+    request and is replaced; the daemon itself never dies with a worker.
+    [Domains] keeps worker domains over a shared {!Analysis.service}: no
+    fork, no wire marshaling — but a submit that needs isolation (a fault
+    marker or a per-request deadline) is {e shed} with an explanatory
+    reason rather than silently mis-served.  [Auto] resolves at startup:
+    fork iff a default deadline was configured, domains otherwise.
 
     {b Single-flight.}  Admission coalesces concurrent misses of one
     digest: the first [Submit] queues the analysis, colliding ones attach
@@ -26,9 +29,9 @@
     requests costs one analysis, under either engine.
 
     Fairness: admission queues each request on its client's
-    {!Shard_queue} shard and dispatch drains shards round-robin, so a
-    client saturating the daemon delays its own requests, not its
-    neighbours'.
+    {!Shard_queue} shard, and dispatch drains shards round-robin, one
+    request per idle worker, so a client saturating the daemon delays
+    its own requests, not its neighbours'.
 
     {b Streaming.}  A connection that sends [Subscribe] becomes a live
     trace subscriber: while any subscriber (or a [Submit] with its trace
@@ -39,12 +42,7 @@
     writes as everything else.  A subscriber that cannot keep up has
     whole trace frames shed (counted in [sv_trace_lost] and on the
     frames' cumulative counters); analyses are never blocked, and
-    verdicts are never shed by the stream bound.
-
-    Isolation under the forked engine is the pool's: a worker crashing
-    (or overrunning its deadline and being killed) yields a [Crashed] /
-    [Timeout] verdict for that one request, and the worker slot is
-    respawned — the daemon itself never dies with a worker. *)
+    verdicts are never shed by the stream bound. *)
 
 type config = {
   s_socket : string;  (** Unix-domain socket path; unlinked on shutdown *)
@@ -93,7 +91,7 @@ type stats = {
                       under the domain engine) *)
   sv_crashed : int;  (** workers that died mid-request (forked engine) *)
   sv_timeouts : int;  (** requests killed at their deadline (forked) *)
-  sv_respawns : int;  (** replacement workers forked *)
+  sv_respawns : int;  (** workers replaced after a death or a deadline kill *)
   sv_evictions : int;  (** warm-layer memo evictions over the lifetime *)
   sv_clients : int;  (** connections accepted over the lifetime *)
   sv_subscribers : int;  (** [Subscribe] frames accepted over the lifetime *)

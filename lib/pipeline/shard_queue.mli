@@ -1,10 +1,10 @@
 (** The pipeline's bounded, sharded work queue — two consumption
     disciplines over one structure.
 
-    {b Batch (the pool)}: tasks are dealt round-robin across one shard per
-    worker at {!create} time; a worker pops from the front of its own
-    shard ({!pop}) and, when that runs dry, steals the back half of the
-    fullest other shard.  Stealing keeps the sweep busy when per-app cost
+    {b Batch (the executor's workers)}: tasks are dealt round-robin across
+    one shard per worker ({!create}, or one {!push} per task in turn); a
+    worker pops from the front of its own shard ({!pop}) and, when that
+    runs dry, steals the back half of the fullest other shard.  Stealing keeps the sweep busy when per-app cost
     is wildly uneven, while the shard-local common case preserves the
     id-ordered scan that makes cache walks and progress output
     predictable.

@@ -7,7 +7,7 @@
     freshly killed) worker only partly wrote.
 
     Two payload conventions share this framing:
-    - {b v0 (bare)}: the payload is the message itself.  The pool's
+    - {b v0 (bare)}: the payload is the message itself.  The executor's
       task/result pipes speak v0 — parent and workers are always the same
       binary, so no version negotiation is needed on that fast path.
     - {b tagged}: the payload starts with a protocol-version byte and a

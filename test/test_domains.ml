@@ -14,6 +14,7 @@ module Engine = Ndroid_pipeline.Engine
 module Pool = Ndroid_pipeline.Pool
 module Analysis = Ndroid_pipeline.Analysis
 module Domain_pool = Ndroid_pipeline.Domain_pool
+module Worker = Ndroid_pipeline.Worker
 module Proto = Ndroid_pipeline.Proto
 module Server = Ndroid_pipeline.Server
 module Market = Ndroid_corpus.Market
@@ -246,8 +247,8 @@ let test_domain_pool_roundtrip () =
     List.iter
       (fun (c : Domain_pool.completion) ->
         Alcotest.(check bool) "ticket echoed once" false
-          (Hashtbl.mem got c.Domain_pool.dc_ticket);
-        Hashtbl.replace got c.Domain_pool.dc_ticket c.Domain_pool.dc_report)
+          (Hashtbl.mem got c.Worker.ticket);
+        Hashtbl.replace got c.Worker.ticket c.Worker.report)
       (Domain_pool.wait pool)
   done;
   Domain_pool.shutdown pool;

@@ -173,6 +173,8 @@ let test_pool_crash_respawn () =
        "worker exited with status 66" why
    | v -> Alcotest.failf "expected crash, got %a" Verdict.pp v);
   Alcotest.(check int) "one crash" 1 stats.Pool.s_crashed;
+  Alcotest.(check int) "every app completed by the engine, the crash too" 64
+    stats.Pool.s_from_workers;
   Alcotest.(check bool) "worker respawned" true (stats.Pool.s_respawns >= 1);
   (* the crash cost exactly one app: everything else has a real verdict *)
   Array.iteri

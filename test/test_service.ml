@@ -310,19 +310,23 @@ let test_daemon_overload_sheds () =
 
 let test_daemon_survives_worker_kill () =
   (* SIGKILL lands on the worker mid-request: that request gets a Crashed
-     verdict, the daemon respawns and serves the next request normally *)
+     verdict — the one the batch records for the same task — and the
+     daemon respawns and serves the next request normally *)
   let victim = { (List.hd (slice 1)) with Task.t_fault = Some Task.Kill } in
   let clean = List.hd (slice 1) in
+  let batch, _ = Pool.run (Pool.config ~jobs:1 ()) [ victim ] in
   with_daemon ~jobs:1 (fun socket ->
       let c = connect socket in
       submit c victim;
       (match collect c 1 with
        | [ (0, `Verdict (r, _)) ] -> (
-         match r.Verdict.r_verdict with
-         | Verdict.Crashed why ->
-           Alcotest.(check bool) "says how the worker died" true
-             (contains ~affix:"SIGKILL" why)
-         | _ -> Alcotest.fail "expected a Crashed verdict")
+         (match r.Verdict.r_verdict with
+          | Verdict.Crashed why ->
+            Alcotest.(check bool) "says how the worker died" true
+              (contains ~affix:"SIGKILL" why)
+          | _ -> Alcotest.fail "expected a Crashed verdict");
+         Alcotest.(check string) "same bytes as the batch verdict"
+           (json_of batch) (json_of [| r |]))
        | _ -> Alcotest.fail "expected one verdict");
       submit c clean;
       (match collect c 1 with
@@ -335,14 +339,27 @@ let test_daemon_survives_worker_kill () =
 let test_daemon_deadline () =
   let hung = { (List.hd (slice 1)) with Task.t_fault = Some Task.Hang } in
   let clean = List.hd (slice 1) in
+  let batch, _ = Pool.run (Pool.config ~jobs:1 ~timeout:0.2 ()) [ hung ] in
   with_daemon ~jobs:1 (fun socket ->
       let c = connect socket in
       submit c ~deadline:0.2 hung;
-      (match collect c 1 with
-       | [ (0, `Verdict (r, _)) ] ->
-         Alcotest.(check bool) "hung request times out" true
-           (r.Verdict.r_verdict = Verdict.Timeout)
-       | _ -> Alcotest.fail "expected one verdict");
+      let rec verdict () =
+        match Proto.Client.recv c with
+        | Ok (Proto.Verdict v) ->
+          Alcotest.(check int) "the hung request's verdict" 0 v.vd_req;
+          (v.vd_report, v.vd_seconds)
+        | Ok (Proto.Progress _) -> verdict ()
+        | Ok _ -> Alcotest.fail "expected one verdict"
+        | Error e -> Alcotest.failf "recv: %s" e
+      in
+      let r, seconds = verdict () in
+      Alcotest.(check bool) "hung request times out" true
+        (r.Verdict.r_verdict = Verdict.Timeout);
+      Alcotest.(check string) "same bytes as the batch verdict"
+        (json_of batch) (json_of [| r |]);
+      Alcotest.(check bool)
+        (Printf.sprintf "charged the time to the kill (%.3fs)" seconds)
+        true (seconds >= 0.19);
       submit c clean;
       (match collect c 1 with
        | [ (0, `Verdict _) ] -> ()
