@@ -231,7 +231,14 @@ let collect_forked t f readable =
         | `Eof frames ->
           List.iter (fun p -> emit (on_frame t sl p)) frames;
           let why = reap sl in
-          emit (replace t f i (Verdict.Crashed why)))
+          emit (replace t f i (Verdict.Crashed why))
+        | `Oversized frames ->
+          (* nothing more from this worker can be read *)
+          List.iter (fun p -> emit (on_frame t sl p)) frames;
+          sigkill sl;
+          ignore (reap sl);
+          emit
+            (replace t f i (Verdict.Crashed "worker sent an oversized frame")))
     f.f_slots;
   let t_now = now () in
   Array.iteri
@@ -247,7 +254,8 @@ let collect_forked t f readable =
 
 (* ---- the engine-independent surface ---- *)
 
-let create ?(close_in_child = fun () -> []) engine ~jobs service =
+let create ?(close_in_child = fun () -> []) ~caller_works engine ~jobs
+    service =
   let jobs = max 1 jobs in
   let make engine =
     { engine; service; jobs; own = Metrics.create (); outstanding = 0;
@@ -256,7 +264,7 @@ let create ?(close_in_child = fun () -> []) engine ~jobs service =
   match engine with
   | Engine.Auto -> invalid_arg "Executor.create: resolve the engine first"
   | Engine.Domains ->
-    let dp = Domain_pool.create ~domains:jobs ~service () in
+    let dp = Domain_pool.create ~domains:jobs ~caller_works ~service () in
     let t = make (In_process dp) in
     Metrics.add (Metrics.counter t.own "domains") (Domain_pool.domains dp);
     t

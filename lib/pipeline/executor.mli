@@ -19,7 +19,10 @@
     (a dead sibling, a departed client) are never masked.
 
     {b Domain engine} ({!Engine.Domains}): a {!Domain_pool}.  Deadlines
-    and fault markers are not enforceable there and are ignored.
+    and fault markers are not enforceable there and are ignored.  A
+    caller that works (the batch) is one of the [jobs] workers: {!wait}
+    runs queued tasks on the calling domain, so the executor never holds
+    more domains than cores.
 
     Either way the executor stores every computed, fault-free report in
     the {!Analysis.service} (a domain worker through
@@ -34,12 +37,17 @@ type completion = Worker.completion
 (** One per submitted ticket; see {!Worker.completion}. *)
 
 val create :
-  ?close_in_child:(unit -> Unix.file_descr list) -> Engine.t -> jobs:int ->
-  Analysis.service -> t
+  ?close_in_child:(unit -> Unix.file_descr list) -> caller_works:bool ->
+  Engine.t -> jobs:int -> Analysis.service -> t
 (** Start [jobs] (>= 1) workers of a resolved engine over [service].
-    [close_in_child] is called at every fork (initial and respawn) and
-    names the caller's descriptors a worker must not hold.  Ignores
-    [SIGPIPE] until {!shutdown} under the forked engine.
+    [caller_works] says the caller blocks in {!wait} and nowhere else (the
+    batch): the domain engine then counts the calling domain as one of
+    the workers, capped with them at the cores, and spawns one domain
+    fewer.  A caller that multiplexes in [select] (the daemon) passes
+    [false] and gets [jobs] domains (capped at the cores); the forked
+    engine ignores it.  [close_in_child] is called at every fork (initial
+    and respawn) and names the caller's descriptors a worker must not
+    hold.  Ignores [SIGPIPE] until {!shutdown} under the forked engine.
     @raise Invalid_argument on {!Engine.Auto}. *)
 
 val isolated : t -> bool
@@ -72,8 +80,9 @@ val collect : t -> Unix.file_descr list -> completion list
 
 val wait : t -> completion list
 (** Block until something completes (or nothing is outstanding) and
-    return it.  The domain engine wakes in batches, so a batch caller
-    does not contend with its workers for CPU. *)
+    return it.  Under the domain engine with [caller_works], the caller
+    runs a queued task whenever nothing has completed and parks only
+    once the queue is empty. *)
 
 val kill_one : t -> unit
 (** Fault injection: SIGKILL one worker.  Its death then reads exactly
@@ -92,7 +101,8 @@ type counters = {
   metrics : Ndroid_obs.Metrics.t list;
       (** the workers' obs registries and the executor's own ([tasks] and
           [task_seconds] for lost tasks, [worker_crashes],
-          [worker_timeouts], [domains]) — merge them *)
+          [worker_timeouts], [domains]: the domains spawned) — merge
+          them *)
 }
 
 val zero_counters : counters

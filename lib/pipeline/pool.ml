@@ -135,8 +135,10 @@ let run cfg tasks =
   let k =
     if pending = [] then Executor.zero_counters
     else begin
+      (* this domain blocks only in [wait], so it works there *)
       let ex =
-        Executor.create engine ~jobs:(min cfg.c_jobs (List.length pending))
+        Executor.create ~caller_works:true engine
+          ~jobs:(min cfg.c_jobs (List.length pending))
           service
       in
       List.iter

@@ -10,9 +10,11 @@
     its budget is killed and the app records [Timeout]; either way the
     worker is replaced and the sweep goes on.  Under a forced [Domains]
     engine, fault markers and timeouts are ignored, as {!run_inline}
-    ignores them.  A process that ran a domains sweep cannot run a forked
-    one afterwards: OCaml 5's [Unix.fork] refuses once a domain has been
-    spawned.
+    ignores them.  A domains sweep runs tasks on the calling domain too,
+    so it spawns [min jobs cores - 1] domains (none at [jobs] 1).  A
+    process that ran a domains sweep which spawned a domain cannot run a
+    forked one afterwards: OCaml 5's [Unix.fork] refuses once a domain
+    has been spawned.
 
     Results are ordered by task id and verdicts carry no timing, so a
     sweep's JSON is bit-identical across [--jobs], engines and runs.
@@ -74,12 +76,15 @@ type stats = {
           cold-path win measured by the bench's engine rows *)
   s_collect : float;  (** phase: the executor's whole life *)
   s_analyze_cpu : float;
-      (** sum of per-task analysis seconds measured inside workers — the
-          serial-equivalent work the sweep performed *)
+      (** sum of per-task wall seconds, each measured on its worker around
+          {!Worker.analyze} (for a crashed or timed-out task, dispatch to
+          death).  Wall, not CPU: it includes stop-the-world collection
+          pauses and time spent waiting for a core, so it can exceed the
+          serial-equivalent work.  The CLI's [bytecodes_per_sec] is
+          [s_bytecodes] divided by it. *)
   s_bytecodes : int;
       (** Dalvik bytecodes executed across every dynamic analysis in the
-          sweep (from the deterministic per-report counters); divide by
-          [s_analyze_cpu] for the sweep's bytecodes/sec *)
+          sweep (from the deterministic per-report counters) *)
   s_jni_crossings : int;
       (** JNI boundary crossings (Java→native calls + native→Java JNI
           function calls) across every dynamic analysis *)

@@ -145,8 +145,11 @@ let serve cfg =
     listen_fd
     :: List.filter_map (Option.map (fun c -> c.cl_fd)) (Array.to_list clients)
   in
+  (* this domain multiplexes sockets and must never run an analysis
+     between two selects, so all [s_jobs] workers are spawned *)
   let ex =
-    Executor.create ~close_in_child:client_fds engine ~jobs:cfg.s_jobs service
+    Executor.create ~close_in_child:client_fds ~caller_works:false engine
+      ~jobs:cfg.s_jobs service
   in
   (* ---- client output: buffered, non-blocking ---- *)
   let waiter_live (w : waiter) =
@@ -219,6 +222,12 @@ let serve cfg =
     match clients.(w.w_slot) with
     | Some c when c.cl_gen = w.w_gen -> queue_out c msg
     | _ -> ()
+  in
+  (* decisive: answer with the error, then close once it is written *)
+  let refuse (c : client) why =
+    queue_out c (Proto.Error why);
+    c.cl_closing <- true;
+    flush_client c
   in
   (* ---- trace fan-out: shed, never stall ---- *)
   (* A trace frame is queued only if the client's outbound buffer stays
@@ -416,9 +425,7 @@ let serve cfg =
           with Failure e | Invalid_argument e ->
             Error (Printf.sprintf "bad app regex %S: %s" re e))
       with
-      | Error e ->
-        queue_out c (Proto.Error e);
-        c.cl_closing <- true
+      | Error e -> refuse c e
       | Ok regexp ->
         incr subscribers;
         c.cl_sub <-
@@ -429,14 +436,10 @@ let serve cfg =
               sb_updropped = 0; sb_uplost = 0; sb_lost = 0 };
         log "client %d subscribed to traces (window %d)" c.cl_slot
           s.Proto.su_window)
-    | Ok _ ->
-      queue_out c
-        (Proto.Error "clients may only send Submit or Subscribe messages");
-      c.cl_closing <- true
+    | Ok _ -> refuse c "clients may only send Submit or Subscribe messages"
     | Error e ->
-      (* decisive: version mismatches and garbage close the connection *)
-      queue_out c (Proto.Error e);
-      c.cl_closing <- true
+      (* version mismatches and garbage close the connection *)
+      refuse c e
   in
   (* ---- the executor: dispatch and completions ---- *)
   (* submit only while a worker is idle, so the backlog stays in the
@@ -539,6 +542,11 @@ let serve cfg =
           | `Eof frames ->
             List.iter (handle_client_frame c) frames;
             client_gone c
+          | `Oversized frames ->
+            List.iter (handle_client_frame c) frames;
+            refuse c
+              (Printf.sprintf "frame longer than the %d-byte limit"
+                 Wire.max_frame)
           | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
             ->
             ())

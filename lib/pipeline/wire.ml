@@ -1,5 +1,7 @@
 let header_len = 4
 
+let max_frame = 16 * 1024 * 1024
+
 (* v2 added the streaming-trace messages (Subscribe/Trace) and the
    Submit "trace" flag; a v1 peer would misread those frames, so the
    version byte went up. *)
@@ -47,16 +49,20 @@ let read_exactly fd n =
 let read_frame fd =
   match read_exactly fd header_len with
   | None -> None
-  | Some hdr -> (
-    match read_exactly fd (decode_len hdr 0) with
-    | None -> None
-    | Some payload -> Some (Bytes.to_string payload))
+  | Some hdr ->
+    let len = decode_len hdr 0 in
+    if len > max_frame then None
+    else Option.map Bytes.to_string (read_exactly fd len)
 
 (* ---- incremental parent-side reader ---- *)
 
-type reader = { mutable buf : Bytes.t; mutable used : int }
+type reader = {
+  mutable buf : Bytes.t;
+  mutable used : int;
+  mutable refused : bool;  (* met a prefix over [max_frame] *)
+}
 
-let create_reader () = { buf = Bytes.create 8192; used = 0 }
+let create_reader () = { buf = Bytes.create 8192; used = 0; refused = false }
 
 let ensure_capacity r extra =
   let need = r.used + extra in
@@ -66,34 +72,44 @@ let ensure_capacity r extra =
     r.buf <- bigger
   end
 
+(* Nothing past an oversized prefix is a frame: once refused, every byte
+   read is discarded. *)
 let completed_frames r =
   let frames = ref [] in
   let off = ref 0 in
-  let continue = ref true in
+  let continue = ref (not r.refused) in
   while !continue do
     if r.used - !off < header_len then continue := false
     else begin
       let len = decode_len r.buf !off in
-      if r.used - !off - header_len < len then continue := false
+      if len > max_frame then begin
+        r.refused <- true;
+        continue := false
+      end
+      else if r.used - !off - header_len < len then continue := false
       else begin
         frames := Bytes.sub_string r.buf (!off + header_len) len :: !frames;
         off := !off + header_len + len
       end
     end
   done;
-  if !off > 0 then begin
+  if r.refused then r.used <- 0
+  else if !off > 0 then begin
     Bytes.blit r.buf !off r.buf 0 (r.used - !off);
     r.used <- r.used - !off
   end;
   List.rev !frames
 
 let drain r fd =
-  ensure_capacity r 65536;
+  (* a refused reader still reads, so a select loop does not spin on the
+     peer's bytes, but into a buffer that no longer grows *)
+  if not r.refused then ensure_capacity r 65536;
   match Unix.read fd r.buf r.used (Bytes.length r.buf - r.used) with
   | 0 -> `Eof (completed_frames r)
   | n ->
     r.used <- r.used + n;
-    `Frames (completed_frames r)
+    let frames = completed_frames r in
+    if r.refused then `Oversized frames else `Frames frames
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
     `Eof (completed_frames r)
 

@@ -16,24 +16,36 @@
       and client can be different binaries: a version mismatch must be
       one decisive error, never a silent misparse. *)
 
+val max_frame : int
+(** The longest payload a length prefix may claim: 16 MiB.  The largest
+    frame the tests, CI and benchmarks write is about 10 KB, and a result
+    frame carrying a task's whole 4096-event ring stays under 1 MiB, so a
+    longer claim comes from a hostile or garbled peer; the readers below
+    refuse it rather than allocate for it. *)
+
 val write_frame : Unix.file_descr -> string -> unit
 (** Whole frame, retrying short writes.  Raises [Unix.Unix_error] (e.g.
     [EPIPE]) if the peer is gone. *)
 
 val read_frame : Unix.file_descr -> string option
 (** Blocking read of one whole frame; [None] on clean EOF at a frame
-    boundary (and on a torn frame, which only happens if the peer died
-    mid-write). *)
+    boundary, on a torn frame (which only happens if the peer died
+    mid-write), and on a length prefix over {!max_frame}, refused before
+    anything is allocated for its payload. *)
 
 type reader
 
 val create_reader : unit -> reader
 
 val drain : reader -> Unix.file_descr ->
-  [ `Frames of string list | `Eof of string list ]
+  [ `Frames of string list | `Eof of string list | `Oversized of string list ]
 (** One [read(2)] on a descriptor select said is readable; returns every
     frame completed by those bytes (often none or several).  [`Eof] carries
-    the final complete frames; a trailing torn frame is discarded. *)
+    the final complete frames; a trailing torn frame is discarded.
+    [`Oversized] carries the complete frames before a length prefix over
+    {!max_frame}: the reader has refused the stream, and every later call
+    discards what it reads (returning [`Oversized []] until [`Eof])
+    without growing its buffer.  Close the descriptor. *)
 
 (** {1 Tagged frames} *)
 

@@ -265,6 +265,38 @@ let test_domain_pool_roundtrip () =
   | () -> Alcotest.fail "submit after shutdown accepted"
   | exception Invalid_argument _ -> ()
 
+(* ---- the batch caller is a worker ---- *)
+
+let test_caller_is_a_worker () =
+  (* a domains sweep counts its calling domain among the jobs: it spawns
+     one domain fewer than it runs workers (none at --jobs 1), and every
+     task still comes back through the executor, identical to inline *)
+  let tasks =
+    Task.of_market_slice ~mode:Task.Hybrid (Market.scaled 200)
+    @ List.mapi
+        (fun i name ->
+          { Task.t_id = 200 + i; t_subject = Task.Bundled name;
+            t_mode = Task.Hybrid; t_fault = None })
+        Registry.names
+  in
+  let expected = json_of (Pool.run_inline tasks) in
+  let cores = Domain.recommended_domain_count () in
+  List.iter
+    (fun jobs ->
+      let reports, st =
+        Pool.run (Pool.config ~jobs ~engine:Engine.Domains ()) tasks
+      in
+      let at what = Printf.sprintf "--jobs %d: %s" jobs what in
+      Alcotest.(check string) (at "reports == inline") expected
+        (json_of reports);
+      Alcotest.(check int) (at "every task from the executor")
+        (List.length tasks) st.Pool.s_from_workers;
+      Alcotest.(check (option int)) (at "domains spawned")
+        (Some (min jobs cores - 1))
+        (Option.bind (Json.member "counters" st.Pool.s_metrics) (fun cs ->
+             Option.bind (Json.member "domains" cs) Json.int)))
+    [ 1; 2; 8 ]
+
 (* ---- single-flight coalescing in the daemon ---- *)
 
 let test_single_flight () =
@@ -520,6 +552,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_service_hammer;
     Alcotest.test_case "domain pool: tickets echo, reports match inline"
       `Quick test_domain_pool_roundtrip;
+    Alcotest.test_case "pool: the batch caller is a worker" `Quick
+      test_caller_is_a_worker;
     Alcotest.test_case "daemon: single-flight coalesces a herd" `Quick
       test_single_flight;
     Alcotest.test_case "daemon: domains engine sheds isolation needs" `Quick

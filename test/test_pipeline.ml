@@ -96,14 +96,40 @@ let test_wire_incremental () =
       ignore (Unix.write_substring w (String.make 1 c) 0 1);
       match Wire.drain reader r with
       | `Frames fs -> got := !got @ fs
-      | `Eof _ -> Alcotest.fail "unexpected eof")
+      | `Eof _ | `Oversized _ -> Alcotest.fail "unexpected eof")
     raw;
   Unix.close w;
   (match Wire.drain reader r with
    | `Eof fs -> got := !got @ fs
-   | `Frames _ -> Alcotest.fail "expected eof");
+   | `Frames _ | `Oversized _ -> Alcotest.fail "expected eof");
   Unix.close r;
   Alcotest.(check (list string)) "reassembled" [ "abcde" ] !got
+
+let test_wire_oversized () =
+  (* a prefix over the cap is refused by both readers; the incremental
+     one still hands over the frames before it, then discards the rest *)
+  let huge = Bytes.create 4 in
+  Bytes.set_int32_be huge 0 (Int32.of_int (Wire.max_frame + 1));
+  let r, w = Unix.pipe () in
+  ignore (Unix.write w huge 0 4);
+  Alcotest.(check (option string)) "read_frame refuses" None
+    (Wire.read_frame r);
+  let reader = Wire.create_reader () in
+  Wire.write_frame w "ok";
+  ignore (Unix.write w huge 0 4);
+  (match Wire.drain reader r with
+   | `Oversized fs ->
+     Alcotest.(check (list string)) "frames before it" [ "ok" ] fs
+   | _ -> Alcotest.fail "expected the oversized prefix to be reported");
+  Wire.write_frame w "after";
+  (match Wire.drain reader r with
+   | `Oversized [] -> ()
+   | _ -> Alcotest.fail "a refused stream yields no more frames");
+  Unix.close w;
+  (match Wire.drain reader r with
+   | `Eof [] -> ()
+   | _ -> Alcotest.fail "expected a bare eof");
+  Unix.close r
 
 (* ---- shard queue ---- *)
 
@@ -295,4 +321,6 @@ let suite =
     Alcotest.test_case "cache: corrupt entry is a miss" `Quick
       test_cache_corrupt_entry;
     Alcotest.test_case "cache: digests separate modes and apps" `Quick
-      test_digest_sensitivity ]
+      test_digest_sensitivity;
+    Alcotest.test_case "wire: oversized prefix refused" `Quick
+      test_wire_oversized ]

@@ -466,6 +466,28 @@ let test_daemon_subscriber_app_filter () =
       Proto.Client.close sub;
       Proto.Client.close c)
 
+(* A 4-byte prefix claiming ~4 GiB is refused, not allocated for: the
+   sender gets one Error and then EOF, and the daemon keeps serving the
+   client beside it. *)
+let test_daemon_refuses_oversized_frame () =
+  with_daemon ~jobs:1 (fun socket ->
+      let c = connect socket in
+      let raw = connect socket in
+      let hdr = Bytes.create 4 in
+      Bytes.set_int32_be hdr 0 0xFFFFFFF0l;
+      ignore (Unix.write (Proto.Client.fd raw) hdr 0 4);
+      (match Proto.Client.recv raw with
+       | Ok (Proto.Error _) -> ()
+       | _ -> Alcotest.fail "an oversized prefix must be answered with Error");
+      Alcotest.(check (option string)) "then EOF" None
+        (Wire.read_frame (Proto.Client.fd raw));
+      Proto.Client.close raw;
+      submit c (List.hd (slice 1));
+      (match collect c 1 with
+       | [ (0, `Verdict _) ] -> ()
+       | _ -> Alcotest.fail "the other client must still get its verdict");
+      Proto.Client.close c)
+
 (* ---- batch-side satellites ---- *)
 
 let test_inline_progress_uniform () =
@@ -513,6 +535,8 @@ let suite =
       test_daemon_overload_sheds;
     Alcotest.test_case "daemon: survives worker SIGKILL mid-request" `Quick
       test_daemon_survives_worker_kill;
+    Alcotest.test_case "daemon: oversized frame refused, others served"
+      `Quick test_daemon_refuses_oversized_frame;
     Alcotest.test_case "daemon: per-request deadline kills and recovers"
       `Quick test_daemon_deadline;
     Alcotest.test_case "daemon: submit --trace streams before the verdict"
