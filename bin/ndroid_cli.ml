@@ -154,16 +154,6 @@ let cmd_disasm name =
     prerr_endline e;
     1
   | Ok app ->
-    let device = Ndroid_runtime.Device.create () in
-    Ndroid_runtime.Device.install_classes device app.H.classes;
-    let extern n =
-      match
-        Ndroid_runtime.Device.Machine.host_fn_addr
-          (Ndroid_runtime.Device.machine device) n
-      with
-      | a -> Some a
-      | exception Not_found -> None
-    in
     List.iter
       (fun (lib_name, prog) ->
         Printf.printf "library %s (%s, %d bytes at 0x%x):\n" lib_name
@@ -173,7 +163,7 @@ let cmd_disasm name =
           (Ndroid_arm.Asm.size prog) (Ndroid_arm.Asm.base prog);
         Format.printf "%a@." Ndroid_arm.Disasm.pp_listing
           (Ndroid_arm.Disasm.program prog))
-      (app.H.build_libs extern);
+      (app.H.build_libs Ndroid_runtime.Device.host_fn_addr);
     0
 
 let cmd_scan total =
@@ -199,16 +189,6 @@ let cmd_pack name dir =
     prerr_endline e;
     1
   | Ok app ->
-    let device = Ndroid_runtime.Device.create () in
-    Ndroid_runtime.Device.install_classes device app.H.classes;
-    let extern n =
-      match
-        Ndroid_runtime.Device.Machine.host_fn_addr
-          (Ndroid_runtime.Device.machine device) n
-      with
-      | a -> Some a
-      | exception Not_found -> None
-    in
     (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
     let dex_path = Filename.concat dir "classes.dex" in
     write_file dex_path (Ndroid_dalvik.Dexfile.to_string app.H.classes);
@@ -218,7 +198,7 @@ let cmd_pack name dir =
         let so_path = Filename.concat dir ("lib" ^ lib_name ^ ".so") in
         write_file so_path (Ndroid_arm.Sofile.to_string prog);
         Printf.printf "wrote %s\n" so_path)
-      (app.H.build_libs extern);
+      (app.H.build_libs Ndroid_runtime.Device.host_fn_addr);
     0
 
 let cmd_classify dir =

@@ -77,12 +77,7 @@ let () =
   (* 1. boot a device and install the app *)
   let device = Device.create () in
   Device.install_classes device classes;
-  let extern name =
-    match Machine.host_fn_addr (Device.machine device) name with
-    | a -> Some a
-    | exception Not_found -> None
-  in
-  Device.provide_library device "quickstart" (native_lib extern);
+  Device.provide_library device "quickstart" (native_lib Device.host_fn_addr);
   Device.load_library device "quickstart";
 
   (* 2. attach NDroid *)

@@ -482,8 +482,8 @@ let fn_recv ctx cpu mem =
      ret cpu (String.length data)
    with Invalid_argument _ -> ret cpu (-1 land mask32))
 
-let functions ctx =
-  let f name handler = (name, fun cpu mem -> handler ctx cpu mem) in
+let functions =
+  let f name handler = (name, handler) in
   [ f "memcpy" fn_memcpy;
     f "memmove" fn_memcpy;
     f "memset" fn_memset;

@@ -18,10 +18,11 @@ type ctx
 
 val create_ctx : Filesystem.t -> Network.t -> Native_heap.t -> ctx
 
-val functions : ctx -> (string * (Cpu.t -> Memory.t -> unit)) list
-(** Every modeled function as (name, handler).  Handlers read arguments
-    from r0-r3 and the stack per the AAPCS, perform the behaviour, and
-    leave the result in r0 (r0:r1 for doubles). *)
+val functions : (string * (ctx -> Cpu.t -> Memory.t -> unit)) list
+(** Every modeled function as (name, handler), in the order the device
+    mounts them.  A handler takes the device's libc state, reads its
+    arguments from r0-r3 and the stack per the AAPCS, performs the
+    behaviour, and leaves the result in r0 (r0:r1 for doubles). *)
 
 val arg : Cpu.t -> Memory.t -> int -> int
 (** AAPCS argument [i]: r0-r3 then the stack. *)

@@ -38,11 +38,6 @@ type outcome = {
   analysis : Ndroid.t option;
 }
 
-let host_resolver device name =
-  match Device.Machine.host_fn_addr (Device.machine device) name with
-  | addr -> Some addr
-  | exception Not_found -> None
-
 let boot app =
   let device = Device.create () in
   Device.install_classes device app.classes;
@@ -50,7 +45,7 @@ let boot app =
     (fun (name, prog) ->
       Device.provide_library device name prog;
       Device.load_library device name)
-    (app.build_libs (host_resolver device));
+    (app.build_libs Device.host_fn_addr);
   device
 
 let contains_substring = Flow_log.contains

@@ -9,12 +9,13 @@ type t = {
   (* code write-watch: translated/summarized code ranges.  [w_lo]/[w_hi]
      bound every watched byte so the store fast path pays two compares;
      a hit inside an actual range bumps [w_gen] (superblock validity) and
-     notifies [w_notify] (per-library dirty marking for summaries). *)
+     notifies [w_notify] with the write's address and length (decode-cache
+     eviction, per-library dirty marking for summaries). *)
   mutable w_lo : int;
   mutable w_hi : int;
   mutable w_ranges : (int * int) list;
   mutable w_gen : int;
-  mutable w_notify : int -> unit;
+  mutable w_notify : int -> int -> unit;
 }
 
 let no_key = min_int
@@ -27,7 +28,7 @@ let create () =
     w_hi = min_int;
     w_ranges = [];
     w_gen = 0;
-    w_notify = ignore }
+    w_notify = (fun _ _ -> ()) }
 
 let watch_code m ~lo ~hi =
   if hi >= lo then begin
@@ -51,7 +52,7 @@ let rec overlaps addr last = function
 let watch_hit m addr len =
   if overlaps addr (addr + len - 1) m.w_ranges then begin
     m.w_gen <- m.w_gen + 1;
-    m.w_notify addr
+    m.w_notify addr len
   end
 
 let[@inline] watch m addr len =

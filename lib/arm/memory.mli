@@ -48,9 +48,10 @@ val code_gen : t -> int
     Cached translations record the generation they were made under and
     treat any later value as "my code may be stale". *)
 
-val on_code_write : t -> (int -> unit) -> unit
+val on_code_write : t -> (int -> int -> unit) -> unit
 (** Set the (single) code-write observer, called with the write's start
-    address after {!code_gen} is bumped — the summary layer uses it to mark
-    the owning library dirty. *)
+    address and length after {!code_gen} is bumped.  The machine owns it:
+    it evicts the decode-cache slots the write covers and tells the
+    summary layer, which marks the owning library dirty. *)
 
 val clear : t -> unit

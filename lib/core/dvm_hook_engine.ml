@@ -69,6 +69,19 @@ let call_method_type name =
     in
     if r = "" then None else Some r
 
+(* The addresses of the Call*Method* wrappers (Table II) in the layout
+   every device mounts: the multilevel chain's entry test, decided once
+   per process. *)
+let call_entries =
+  let entries = Hashtbl.create 128 in
+  List.iter
+    (fun (name, _) ->
+      match call_method_type name, Device.host_fn_addr name with
+      | Some _, Some addr -> Hashtbl.replace entries addr ()
+      | _ -> ())
+    Ndroid_jni.Jni_names.functions;
+  entries
+
 let field_access name =
   (* Get/Set[Static]<Type>Field *)
   if not (ends_with ~suffix:"Field" name) then None
@@ -371,21 +384,8 @@ let attach ?(use_multilevel = true) ?(gate = fun () -> true) device engine log =
   (* the multilevel chain's first test runs on every observed branch: a
      target outside the mounted-address bounds is guest code, answered
      with two compares before any table probe *)
-  let call_entry =
-    let cache = Hashtbl.create 512 in
-    fun addr ->
-      Machine.in_host_range machine addr
-      &&
-      match Hashtbl.find_opt cache addr with
-      | Some b -> b
-      | None ->
-        let b =
-          match Machine.find_host_fn machine addr with
-          | Some hf -> call_method_type hf.Machine.hf_name <> None
-          | None -> false
-        in
-        Hashtbl.replace cache addr b;
-        b
+  let call_entry addr =
+    Machine.in_host_range machine addr && Hashtbl.mem call_entries addr
   in
   let dvm_call_method addr =
     match Machine.find_host_fn machine addr with

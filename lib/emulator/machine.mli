@@ -37,11 +37,40 @@ type event =
 exception Runaway of int
 (** Raised when a run exceeds its fuel (instruction budget). *)
 
+(** {1 Host-function layouts} *)
+
+type 'ctx host_layout
+(** Where the host functions live and what they do: per entry a library,
+    a name, a guest address, and a handler that takes a context value
+    (for the device, the device itself).  A layout is built once and only
+    read afterwards, so every machine can mount the same one — also from
+    several domains at once. *)
+
+val host_layout :
+  (string * string * int * ('ctx -> Cpu.t -> Memory.t -> unit)) list ->
+  'ctx host_layout
+(** [host_layout [(lib, name, addr, handler); ...]].  A handler must
+    follow the AAPCS (result in r0).  Nothing the layout allocates goes
+    straight to the major heap (up to 512 entries), so building one when
+    a program starts adds no major-GC work to its start-up.
+    @raise Invalid_argument on a repeated address or name. *)
+
+val layout_addr : 'ctx host_layout -> string -> int option
+(** Address of the entry with a given name. *)
+
+(** {1 Machines} *)
+
 type t
 
 val create : unit -> t
 (** Fresh machine: empty memory, stack pointer at the top of the stack
-    region, no listeners, instruction cache enabled. *)
+    region, no listeners, instruction cache enabled, no host functions
+    (the empty layout mounted). *)
+
+val mount_layout : t -> 'ctx host_layout -> 'ctx -> unit
+(** Make [layout]'s entries the machine's host functions, each handler
+    run against [ctx].  Replaces the layout mounted before.  Costs one
+    small record: nothing per entry. *)
 
 val cpu : t -> Cpu.t
 val mem : t -> Memory.t
@@ -61,11 +90,12 @@ val set_host_fn_work : t -> int -> unit
 val icache_stats : t -> int * int
 (** (hits, misses). *)
 
-val mount_host_fn : t -> lib:string -> name:string -> addr:int ->
-  (Cpu.t -> Memory.t -> unit) -> host_fn
-(** Mount a host function at a guest address.  The handler must follow the
-    AAPCS (result in r0).  @raise Invalid_argument if the address is
-    taken. *)
+val on_code_write : t -> (int -> unit) -> unit
+(** [on_code_write t f] calls [f] with the start address of every guest
+    write into a loaded program's image (see {!load_program}), after the
+    decode-cache slots the write covers have been evicted.  One observer,
+    replaced by the next call; the device marks native summaries dirty
+    here. *)
 
 val host_fn_addr : t -> string -> int
 (** Address of a mounted function by name. @raise Not_found. *)
@@ -116,7 +146,9 @@ val call_host : t -> from_:int -> string -> unit
 
 val load_program : t -> Ndroid_arm.Asm.program -> unit
 (** Copy an assembled library into guest memory and remember it in the
-    memory map. *)
+    memory map.  Its image is watched: a later guest write into it evicts
+    the decode-cache entries the write may have changed, bumps
+    {!Ndroid_arm.Memory.code_gen} and reaches {!on_code_write}. *)
 
 val call_native : t -> ?fuel:int -> addr:int -> args:int list ->
   ?stack_args:int list -> unit -> int * int

@@ -1,6 +1,7 @@
 module Json = Ndroid_report.Json
 module Verdict = Ndroid_report.Verdict
 module Metrics = Ndroid_obs.Metrics
+module Ring = Ndroid_obs.Ring
 
 type config = {
   c_jobs : int;
@@ -208,11 +209,22 @@ let run_inline ?cache ?obs ?progress tasks =
   (* the in-process batch path is a thin client of the same
      request-oriented facade the daemon serves from *)
   let service = Analysis.service ?cache () in
+  (* without the caller's ring, every task records into one private ring,
+     cleared before each as a worker's is: a fresh ring per dynamic run
+     costs more allocation than the run itself *)
+  let own = match obs with Some _ -> None | None -> Some (Ring.create ()) in
   let total = List.length tasks in
   let results = Array.make total dummy_report in
   let n_done = ref 0 in
   List.iter
     (fun (task : Task.t) ->
+      let obs =
+        match own with
+        | Some ring ->
+          Ring.clear ring;
+          own
+        | None -> obs
+      in
       let report, _cached = Analysis.service_run service ?obs task in
       results.(task.Task.t_id) <- report;
       incr n_done;

@@ -128,5 +128,7 @@ val run_inline :
     byte-identical reports to {!run} on non-faulting corpora.  [obs]
     observes every dynamic run in this process — the only mode in which
     one ring can see a whole sweep, which is what
-    [ndroid analyze --trace] uses.  [progress] fires once per task,
+    [ndroid analyze --trace] uses.  Without [obs] the tasks share one
+    private ring of the default capacity, cleared before each task as a
+    worker's is.  [progress] fires once per task,
     cache hit or computed, like {!config}'s [c_progress]. *)

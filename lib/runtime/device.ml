@@ -590,7 +590,7 @@ let run_call_java d variant static_ ret_ty cpu mem =
 
 (* dvmCallMethod* body: emits the dvmDecodeIndirectRef scans, then enters
    the interpreter. *)
-let run_dvm_call_method d name cpu mem =
+let run_dvm_call_method name d cpu mem =
   ignore mem;
   (match d.pending_interp with
    | Some (args, _) ->
@@ -627,28 +627,24 @@ let type_name = function
   | 'D' -> "Double"
   | _ -> assert false
 
-let install_jni d =
-  let next_addr = ref (Layout.libdvm_base + 0x1000) in
-  let mount name run =
-    let addr = !next_addr in
-    next_addr := addr + 0x40;
-    ignore
-      (Machine.mount_host_fn d.d_machine ~lib:"libdvm.so" ~name ~addr (fun cpu mem ->
-           run cpu mem))
-  in
+(* libdvm's functions in mount order (their order fixes their addresses),
+   each a handler of the device it runs on *)
+let jni_functions =
+  let fns = ref [] in
+  let mount name run = fns := (name, run) :: !fns in
   (* --- internals (MAF column of Table III + bridge machinery) --- *)
-  mount "dvmCallJNIMethod" (fun cpu mem -> run_call_bridge d cpu mem);
-  mount "dvmInterpret" (fun cpu mem -> run_dvm_interpret d cpu mem);
-  mount "dvmCallMethod" (run_dvm_call_method d "dvmCallMethod");
-  mount "dvmCallMethodV" (run_dvm_call_method d "dvmCallMethodV");
-  mount "dvmCallMethodA" (run_dvm_call_method d "dvmCallMethodA");
-  mount "dvmDecodeIndirectRef" (fun _cpu _mem -> ());
-  mount "dvmCreateStringFromCstr" (fun cpu mem ->
+  mount "dvmCallJNIMethod" run_call_bridge;
+  mount "dvmInterpret" run_dvm_interpret;
+  mount "dvmCallMethod" (run_dvm_call_method "dvmCallMethod");
+  mount "dvmCallMethodV" (run_dvm_call_method "dvmCallMethodV");
+  mount "dvmCallMethodA" (run_dvm_call_method "dvmCallMethodA");
+  mount "dvmDecodeIndirectRef" (fun _d _cpu _mem -> ());
+  mount "dvmCreateStringFromCstr" (fun d cpu mem ->
       (* r1 = char* ; returns the real object address in r0 (Fig. 6) *)
       let s = Memory.read_cstring mem (arg cpu mem 1) in
       let o = Heap.alloc_string d.d_vm.Vm.heap s in
       Cpu.set_reg cpu 0 o.Heap.addr);
-  mount "dvmCreateStringFromUnicode" (fun cpu mem ->
+  mount "dvmCreateStringFromUnicode" (fun d cpu mem ->
       let ptr = arg cpu mem 1 and len = arg cpu mem 2 in
       let b = Buffer.create len in
       for i = 0 to len - 1 do
@@ -656,22 +652,22 @@ let install_jni d =
       done;
       let o = Heap.alloc_string d.d_vm.Vm.heap (Buffer.contents b) in
       Cpu.set_reg cpu 0 o.Heap.addr);
-  mount "dvmAllocObject" (fun cpu _mem ->
+  mount "dvmAllocObject" (fun d cpu _mem ->
       let h = Cpu.reg cpu 1 in
       match class_of_handle d h with
       | Some cls ->
         let o = Heap.alloc_instance d.d_vm.Vm.heap cls (Vm.instance_size d.d_vm cls) in
         Cpu.set_reg cpu 0 o.Heap.addr
       | None -> raise (Vm.Dvm_error (Printf.sprintf "bad jclass 0x%x" h)));
-  mount "dvmAllocPrimitiveArray" (fun cpu _mem ->
+  mount "dvmAllocPrimitiveArray" (fun d cpu _mem ->
       let len = Cpu.reg cpu 1 in
       let o = Heap.alloc_array d.d_vm.Vm.heap "prim" len in
       Cpu.set_reg cpu 0 o.Heap.addr);
-  mount "dvmAllocArrayByClass" (fun cpu _mem ->
+  mount "dvmAllocArrayByClass" (fun d cpu _mem ->
       let len = Cpu.reg cpu 2 in
       let o = Heap.alloc_array d.d_vm.Vm.heap "Ljava/lang/Object;" len in
       Cpu.set_reg cpu 0 o.Heap.addr);
-  mount "initException" (fun cpu mem ->
+  mount "initException" (fun d cpu mem ->
       (* r1 = class handle, r2 = message char* *)
       let cls =
         match class_of_handle d (arg cpu mem 1) with
@@ -700,12 +696,12 @@ let install_jni d =
       Cpu.set_reg cpu 0 exn_obj.Heap.addr);
 
   (* --- class / method / field lookup --- *)
-  mount "FindClass" (fun cpu mem ->
+  mount "FindClass" (fun d cpu mem ->
       let name = cstring d (arg cpu mem 1) in
       let norm = normalize_class_name name in
       ignore (Vm.find_class d.d_vm norm);
       Cpu.set_reg cpu 0 (class_handle d norm));
-  mount "GetObjectClass" (fun cpu mem ->
+  mount "GetObjectClass" (fun d cpu mem ->
       match value_of_iref d (arg cpu mem 1) with
       | Dvalue.Obj id ->
         let cls =
@@ -716,7 +712,7 @@ let install_jni d =
         in
         Cpu.set_reg cpu 0 (class_handle d cls)
       | _ -> Cpu.set_reg cpu 0 0);
-  let get_method_id cpu mem =
+  let get_method_id d cpu mem =
     let h = arg cpu mem 1 in
     let name = cstring d (arg cpu mem 2) in
     match class_of_handle d h with
@@ -727,7 +723,7 @@ let install_jni d =
   in
   mount "GetMethodID" get_method_id;
   mount "GetStaticMethodID" get_method_id;
-  let get_field_id static cpu mem =
+  let get_field_id static d cpu mem =
     let h = arg cpu mem 1 in
     let name = cstring d (arg cpu mem 2) in
     match class_of_handle d h with
@@ -742,24 +738,24 @@ let install_jni d =
     (fun ty ->
       let tn = type_name ty in
       let families =
-        [ (Printf.sprintf "Call%sMethod" tn, `Plain, false);
-          (Printf.sprintf "CallNonvirtual%sMethod" tn, `Plain, false);
-          (Printf.sprintf "CallStatic%sMethod" tn, `Plain, true);
-          (Printf.sprintf "Call%sMethodV" tn, `V, false);
-          (Printf.sprintf "CallNonvirtual%sMethodV" tn, `V, false);
-          (Printf.sprintf "CallStatic%sMethodV" tn, `V, true);
-          (Printf.sprintf "Call%sMethodA" tn, `A, false);
-          (Printf.sprintf "CallNonvirtual%sMethodA" tn, `A, false);
-          (Printf.sprintf "CallStatic%sMethodA" tn, `A, true) ]
+        [ ("Call" ^ tn ^ "Method", `Plain, false);
+          ("CallNonvirtual" ^ tn ^ "Method", `Plain, false);
+          ("CallStatic" ^ tn ^ "Method", `Plain, true);
+          ("Call" ^ tn ^ "MethodV", `V, false);
+          ("CallNonvirtual" ^ tn ^ "MethodV", `V, false);
+          ("CallStatic" ^ tn ^ "MethodV", `V, true);
+          ("Call" ^ tn ^ "MethodA", `A, false);
+          ("CallNonvirtual" ^ tn ^ "MethodA", `A, false);
+          ("CallStatic" ^ tn ^ "MethodA", `A, true) ]
       in
       List.iter
         (fun (name, variant, static_) ->
-          mount name (fun cpu mem -> run_call_java d variant static_ ty cpu mem))
+          mount name (fun d cpu mem -> run_call_java d variant static_ ty cpu mem))
         families)
     jni_types;
 
   (* --- object creation (NOF column of Table III) --- *)
-  let new_object style cpu mem =
+  let new_object style d cpu mem =
     let self = Cpu.pc cpu in
     let self =
       match Machine.find_host_fn d.d_machine self with
@@ -797,7 +793,7 @@ let install_jni d =
   mount "NewObject" (new_object `Plain);
   mount "NewObjectV" (new_object `V);
   mount "NewObjectA" (new_object `A);
-  mount "NewStringUTF" (fun cpu mem ->
+  mount "NewStringUTF" (fun d cpu mem ->
       ignore mem;
       let self = Machine.host_fn_addr d.d_machine "NewStringUTF" in
       (* r1 already holds the char*; delegate to the MAF *)
@@ -806,7 +802,7 @@ let install_jni d =
       match Heap.find_by_addr d.d_vm.Vm.heap addr with
       | Some o -> Cpu.set_reg cpu 0 (Indirect_ref.add d.d_irefs ~obj_id:o.Heap.id)
       | None -> raise (Vm.Dvm_error "NewStringUTF: allocation lost"));
-  mount "NewString" (fun cpu mem ->
+  mount "NewString" (fun d cpu mem ->
       ignore mem;
       let self = Machine.host_fn_addr d.d_machine "NewString" in
       Machine.call_host d.d_machine ~from_:self "dvmCreateStringFromUnicode";
@@ -814,7 +810,7 @@ let install_jni d =
       match Heap.find_by_addr d.d_vm.Vm.heap addr with
       | Some o -> Cpu.set_reg cpu 0 (Indirect_ref.add d.d_irefs ~obj_id:o.Heap.id)
       | None -> raise (Vm.Dvm_error "NewString: allocation lost"));
-  mount "NewObjectArray" (fun cpu mem ->
+  mount "NewObjectArray" (fun d cpu mem ->
       ignore mem;
       let self = Machine.host_fn_addr d.d_machine "NewObjectArray" in
       Machine.call_host d.d_machine ~from_:self "dvmAllocArrayByClass";
@@ -824,12 +820,11 @@ let install_jni d =
       | None -> raise (Vm.Dvm_error "NewObjectArray: allocation lost"));
   List.iter
     (fun ty ->
-      let tn = type_name ty in
-      mount
-        (Printf.sprintf "New%sArray" tn)
-        (fun cpu mem ->
+      let name = "New" ^ type_name ty ^ "Array" in
+      mount name
+        (fun d cpu mem ->
           ignore mem;
-          let self = Machine.host_fn_addr d.d_machine (Printf.sprintf "New%sArray" tn) in
+          let self = Machine.host_fn_addr d.d_machine name in
           Machine.call_host d.d_machine ~from_:self "dvmAllocPrimitiveArray";
           let addr = Cpu.reg cpu 0 in
           match Heap.find_by_addr d.d_vm.Vm.heap addr with
@@ -838,7 +833,7 @@ let install_jni d =
     [ 'Z'; 'B'; 'C'; 'S'; 'I'; 'J'; 'F'; 'D' ];
 
   (* --- strings --- *)
-  mount "GetStringUTFChars" (fun cpu mem ->
+  mount "GetStringUTFChars" (fun d cpu mem ->
       match string_obj d (arg cpu mem 1) with
       | Some (_id, s) ->
         let buf = A.Native_heap.malloc d.d_nheap (String.length s + 1) in
@@ -847,18 +842,18 @@ let install_jni d =
         if is_copy <> 0 then Memory.write_u8 mem is_copy 1;
         Cpu.set_reg cpu 0 buf
       | None -> Cpu.set_reg cpu 0 0);
-  mount "ReleaseStringUTFChars" (fun cpu mem ->
+  mount "ReleaseStringUTFChars" (fun d cpu mem ->
       A.Native_heap.free d.d_nheap (arg cpu mem 2);
       ignore cpu);
-  mount "GetStringUTFLength" (fun cpu mem ->
+  mount "GetStringUTFLength" (fun d cpu mem ->
       match string_obj d (arg cpu mem 1) with
       | Some (_, s) -> Cpu.set_reg cpu 0 (String.length s)
       | None -> Cpu.set_reg cpu 0 0);
-  mount "GetStringLength" (fun cpu mem ->
+  mount "GetStringLength" (fun d cpu mem ->
       match string_obj d (arg cpu mem 1) with
       | Some (_, s) -> Cpu.set_reg cpu 0 (String.length s)
       | None -> Cpu.set_reg cpu 0 0);
-  mount "GetStringChars" (fun cpu mem ->
+  mount "GetStringChars" (fun d cpu mem ->
       match string_obj d (arg cpu mem 1) with
       | Some (_, s) ->
         let buf = A.Native_heap.malloc d.d_nheap ((String.length s + 1) * 2) in
@@ -868,12 +863,12 @@ let install_jni d =
         Memory.write_u16 mem (buf + (2 * String.length s)) 0;
         Cpu.set_reg cpu 0 buf
       | None -> Cpu.set_reg cpu 0 0);
-  mount "ReleaseStringChars" (fun cpu mem ->
+  mount "ReleaseStringChars" (fun d cpu mem ->
       A.Native_heap.free d.d_nheap (arg cpu mem 2);
       ignore cpu);
 
   (* --- arrays --- *)
-  let array_of_iref iref =
+  let array_of_iref d iref =
     match value_of_iref d iref with
     | Dvalue.Obj id -> (
       match (Heap.get d.d_vm.Vm.heap id).Heap.kind with
@@ -881,12 +876,12 @@ let install_jni d =
       | Heap.String _ | Heap.Instance _ -> None)
     | _ -> None
   in
-  mount "GetArrayLength" (fun cpu mem ->
-      match array_of_iref (arg cpu mem 1) with
+  mount "GetArrayLength" (fun d cpu mem ->
+      match array_of_iref d (arg cpu mem 1) with
       | Some (_, elems) -> Cpu.set_reg cpu 0 (Array.length elems)
       | None -> Cpu.set_reg cpu 0 0);
-  mount "GetObjectArrayElement" (fun cpu mem ->
-      match array_of_iref (arg cpu mem 1) with
+  mount "GetObjectArrayElement" (fun d cpu mem ->
+      match array_of_iref d (arg cpu mem 1) with
       | Some (_, elems) ->
         let idx = arg cpu mem 2 in
         if idx >= 0 && idx < Array.length elems then
@@ -896,8 +891,8 @@ let install_jni d =
              | _ -> 0)
         else Cpu.set_reg cpu 0 0
       | None -> Cpu.set_reg cpu 0 0);
-  mount "SetObjectArrayElement" (fun cpu mem ->
-      match array_of_iref (arg cpu mem 1) with
+  mount "SetObjectArrayElement" (fun d cpu mem ->
+      match array_of_iref d (arg cpu mem 1) with
       | Some (_, elems) ->
         let idx = arg cpu mem 2 in
         if idx >= 0 && idx < Array.length elems then
@@ -908,9 +903,9 @@ let install_jni d =
       let tn = type_name ty in
       let width = match ty with 'J' | 'D' -> 8 | _ -> 4 in
       mount
-        (Printf.sprintf "Get%sArrayElements" tn)
-        (fun cpu mem ->
-          match array_of_iref (arg cpu mem 1) with
+        ("Get" ^ tn ^ "ArrayElements")
+        (fun d cpu mem ->
+          match array_of_iref d (arg cpu mem 1) with
           | Some (_, elems) ->
             let buf = A.Native_heap.malloc d.d_nheap (Array.length elems * width) in
             Array.iteri
@@ -922,10 +917,10 @@ let install_jni d =
             Cpu.set_reg cpu 0 buf
           | None -> Cpu.set_reg cpu 0 0);
       mount
-        (Printf.sprintf "Release%sArrayElements" tn)
-        (fun cpu mem ->
+        ("Release" ^ tn ^ "ArrayElements")
+        (fun d cpu mem ->
           let mode = arg cpu mem 3 in
-          (match array_of_iref (arg cpu mem 1) with
+          (match array_of_iref d (arg cpu mem 1) with
            | Some (_, elems) when mode <> 2 (* JNI_ABORT *) ->
              let buf = arg cpu mem 2 in
              Array.iteri
@@ -943,9 +938,9 @@ let install_jni d =
       let tn = type_name ty in
       let width = match ty with 'J' | 'D' -> 8 | _ -> 4 in
       mount
-        (Printf.sprintf "Get%sArrayRegion" tn)
-        (fun cpu mem ->
-          match array_of_iref (arg cpu mem 1) with
+        ("Get" ^ tn ^ "ArrayRegion")
+        (fun d cpu mem ->
+          match array_of_iref d (arg cpu mem 1) with
           | Some (_, elems) ->
             let start = arg cpu mem 2
             and len = arg cpu mem 3
@@ -958,9 +953,9 @@ let install_jni d =
             done
           | None -> ());
       mount
-        (Printf.sprintf "Set%sArrayRegion" tn)
-        (fun cpu mem ->
-          match array_of_iref (arg cpu mem 1) with
+        ("Set" ^ tn ^ "ArrayRegion")
+        (fun d cpu mem ->
+          match array_of_iref d (arg cpu mem 1) with
           | Some (_, elems) ->
             let start = arg cpu mem 2
             and len = arg cpu mem 3
@@ -972,7 +967,7 @@ let install_jni d =
             done
           | None -> ()))
     [ 'Z'; 'B'; 'C'; 'S'; 'I'; 'J'; 'F'; 'D' ];
-  mount "GetStringUTFRegion" (fun cpu mem ->
+  mount "GetStringUTFRegion" (fun d cpu mem ->
       match string_obj d (arg cpu mem 1) with
       | Some (_, s) ->
         let start = arg cpu mem 2 and len = arg cpu mem 3 and buf = arg cpu mem 4 in
@@ -981,7 +976,7 @@ let install_jni d =
         if len > 0 then Memory.write_string mem buf (String.sub s start len);
         Memory.write_u8 mem (buf + max 0 len) 0
       | None -> ());
-  mount "GetStringRegion" (fun cpu mem ->
+  mount "GetStringRegion" (fun d cpu mem ->
       match string_obj d (arg cpu mem 1) with
       | Some (_, s) ->
         let start = arg cpu mem 2 and len = arg cpu mem 3 and buf = arg cpu mem 4 in
@@ -992,14 +987,14 @@ let install_jni d =
       | None -> ());
 
   (* --- Table IV: field access --- *)
-  let find_field cpu mem =
+  let find_field d cpu mem =
     let fid = arg cpu mem 2 in
     match Hashtbl.find_opt d.field_handles fid with
     | Some f -> f
     | None -> raise (Vm.Dvm_error (Printf.sprintf "bad jfieldID 0x%x" fid))
   in
-  let get_field cpu mem =
-    let cls, fld, static = find_field cpu mem in
+  let get_field d cpu mem =
+    let cls, fld, static = find_field d cpu mem in
     if static then
       let cell = Vm.static_ref d.d_vm cls fld in
       fst !cell
@@ -1012,8 +1007,8 @@ let install_jni d =
         | Heap.String _ | Heap.Array _ -> Dvalue.zero)
       | _ -> Dvalue.zero
   in
-  let set_field cpu mem value =
-    let cls, fld, static = find_field cpu mem in
+  let set_field d cpu mem value =
+    let cls, fld, static = find_field d cpu mem in
     if static then begin
       let cell = Vm.static_ref d.d_vm cls fld in
       cell := (value, snd !cell)
@@ -1033,29 +1028,29 @@ let install_jni d =
         (fun ty ->
           let tn = type_name ty in
           mount
-            (Printf.sprintf "Get%s%sField" prefix tn)
-            (fun cpu mem ->
-              let v = get_field cpu mem in
+            ("Get" ^ prefix ^ tn ^ "Field")
+            (fun d cpu mem ->
+              let v = get_field d cpu mem in
               match ty with
               | 'L' ->
                 Cpu.set_reg cpu 0
                   (match v with Dvalue.Null -> 0 | _ -> iref_of_value d v)
               | _ -> Cpu.set_reg cpu 0 (Int32.to_int (Dvalue.as_int v) land mask32));
           mount
-            (Printf.sprintf "Set%s%sField" prefix tn)
-            (fun cpu mem ->
+            ("Set" ^ prefix ^ tn ^ "Field")
+            (fun d cpu mem ->
               let raw = arg cpu mem 3 in
               let v =
                 match ty with
                 | 'L' -> value_of_iref d raw
                 | _ -> Dvalue.Int (Int32.of_int raw)
               in
-              set_field cpu mem v))
+              set_field d cpu mem v))
         [ 'L'; 'Z'; 'B'; 'C'; 'S'; 'I'; 'J'; 'F'; 'D' ])
     [ ("", false); ("Static", true) ];
 
   (* --- exceptions --- *)
-  mount "ThrowNew" (fun cpu mem ->
+  mount "ThrowNew" (fun d cpu mem ->
       let self = Machine.host_fn_addr d.d_machine "ThrowNew" in
       (* initException reads r1 = jclass, r2 = message char* — already set *)
       let msg_addr = arg cpu mem 2 in
@@ -1079,20 +1074,20 @@ let install_jni d =
          d.pending_throw <- Some (Dvalue.Obj o.Heap.id, taint)
        | None -> ());
       Cpu.set_reg cpu 0 0);
-  mount "Throw" (fun cpu mem ->
+  mount "Throw" (fun d cpu mem ->
       let iref = arg cpu mem 1 in
       let v = value_of_iref d iref in
       d.pending_throw <- Some (v, query_taint d (Loc_iref iref));
       Cpu.set_reg cpu 0 0);
-  mount "ExceptionOccurred" (fun cpu _mem ->
+  mount "ExceptionOccurred" (fun d cpu _mem ->
       match d.pending_throw with
       | Some (v, _) ->
         Cpu.set_reg cpu 0 (match v with Dvalue.Null -> 0 | _ -> iref_of_value d v)
       | None -> Cpu.set_reg cpu 0 0);
-  mount "ExceptionClear" (fun _cpu _mem -> d.pending_throw <- None);
+  mount "ExceptionClear" (fun d _cpu _mem -> d.pending_throw <- None);
 
   (* --- reference management --- *)
-  mount "RegisterNatives" (fun cpu mem ->
+  mount "RegisterNatives" (fun d cpu mem ->
       (* (env, jclass, JNINativeMethod* {name, sig, fnPtr} x n, n) *)
       match class_of_handle d (arg cpu mem 1) with
       | None -> Cpu.set_reg cpu 0 (0xFFFFFFFF (* JNI_ERR *))
@@ -1105,7 +1100,7 @@ let install_jni d =
           Hashtbl.replace d.registered_natives (cls, name) fn_ptr
         done;
         Cpu.set_reg cpu 0 0);
-  mount "UnregisterNatives" (fun cpu mem ->
+  mount "UnregisterNatives" (fun d cpu mem ->
       (match class_of_handle d (arg cpu mem 1) with
        | Some cls ->
          Hashtbl.iter
@@ -1113,32 +1108,39 @@ let install_jni d =
            (Hashtbl.copy d.registered_natives)
        | None -> ());
       Cpu.set_reg cpu 0 0);
-  mount "NewGlobalRef" (fun cpu mem -> Cpu.set_reg cpu 0 (arg cpu mem 1));
-  mount "NewLocalRef" (fun cpu mem -> Cpu.set_reg cpu 0 (arg cpu mem 1));
-  mount "DeleteGlobalRef" (fun cpu mem ->
+  mount "NewGlobalRef" (fun _d cpu mem -> Cpu.set_reg cpu 0 (arg cpu mem 1));
+  mount "NewLocalRef" (fun _d cpu mem -> Cpu.set_reg cpu 0 (arg cpu mem 1));
+  mount "DeleteGlobalRef" (fun d cpu mem ->
       Indirect_ref.delete d.d_irefs (arg cpu mem 1);
       ignore cpu);
-  mount "DeleteLocalRef" (fun cpu mem ->
+  mount "DeleteLocalRef" (fun d cpu mem ->
       Indirect_ref.delete d.d_irefs (arg cpu mem 1);
-      ignore cpu)
+      ignore cpu);
+  List.rev !fns
 
-(* ---------------- libc / libm mounting ---------------- *)
+(* ---------------- the host-function layout ---------------- *)
 
-let install_system_libs d =
-  let next = ref (Layout.libc_base + 0x100) in
-  List.iter
-    (fun (name, run) ->
-      let addr = !next in
-      next := addr + 0x40;
-      ignore (Machine.mount_host_fn d.d_machine ~lib:"libc.so" ~name ~addr run))
-    (A.Libc_model.functions d.d_libc);
-  let next = ref (Layout.libm_base + 0x100) in
-  List.iter
-    (fun (name, run) ->
-      let addr = !next in
-      next := addr + 0x40;
-      ignore (Machine.mount_host_fn d.d_machine ~lib:"libm.so" ~name ~addr run))
-    A.Libm_model.functions
+(* Every device mounts the same libdvm, libc and libm functions at the
+   same addresses, so the layout is built once, when the module is
+   initialised (before any domain can exist), and shared read-only.  A
+   device binds it to itself in [create]: no per-device tables, names or
+   closures. *)
+let host_layout : t Machine.host_layout =
+  let place lib base fns =
+    List.mapi (fun i (name, run) -> (lib, name, base + (0x40 * i), run)) fns
+  in
+  Machine.host_layout
+    (place "libdvm.so" (Layout.libdvm_base + 0x1000) jni_functions
+    @ place "libc.so" (Layout.libc_base + 0x100)
+        (List.map
+           (fun (name, run) -> (name, fun d cpu mem -> run d.d_libc cpu mem))
+           A.Libc_model.functions)
+    @ place "libm.so" (Layout.libm_base + 0x100)
+        (List.map
+           (fun (name, run) -> (name, fun (_ : t) cpu mem -> run cpu mem))
+           A.Libm_model.functions))
+
+let host_fn_addr name = Machine.layout_addr host_layout name
 
 (* ---------------- construction ---------------- *)
 
@@ -1227,14 +1229,12 @@ let create ?(profile = A.Device_profile.default) () =
       summaries_rejected = 0 }
   in
   (* runtime writes into a loaded image invalidate its summaries *)
-  Memory.on_code_write (Machine.mem machine) (fun addr ->
-      mark_dirty_owner addr d.lib_summaries);
+  Machine.on_code_write machine (fun addr -> mark_dirty_owner addr d.lib_summaries);
   A.Framework.install vm;
   A.Sources.install vm profile;
   A.Sinks.install vm net fs monitor;
   install_system_class d;
-  install_jni d;
-  install_system_libs d;
+  Machine.mount_layout machine host_layout d;
   vm.Vm.native_dispatch <- Some (fun vm jm args -> native_dispatch d vm jm args);
   A.Libc_model.set_dl d.d_libc ~dl_open:(dl_open d) ~dl_sym:(dl_sym d);
   d

@@ -48,6 +48,12 @@ val create : ?profile:Ndroid_android.Device_profile.t -> unit -> t
 (** Boot a device: fresh VM with framework + sources + sinks installed,
     fresh machine with libc/libm/libdvm mounted. *)
 
+(** {1 The host-function layout} *)
+
+val host_fn_addr : string -> int option
+(** Guest address of a libdvm, libc or libm function, the same on every
+    device: apps' native libraries link against it without booting one. *)
+
 (** {1 Components} *)
 
 val vm : t -> Vm.t

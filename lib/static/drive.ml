@@ -3,31 +3,23 @@ module Device = Ndroid_runtime.Device
 module Syscalls = Ndroid_android.Syscalls
 module Jni_names = Ndroid_jni.Jni_names
 
-let input_of_app (app : H.app) =
-  let device = Device.create () in
-  Device.install_classes device app.H.classes;
-  let machine = Device.machine device in
-  let extern n =
-    match Device.Machine.host_fn_addr machine n with
-    | addr -> Some addr
-    | exception Not_found -> None
-  in
-  let libs = app.H.build_libs extern in
-  (* invert the host-function table over every name the device can mount *)
+(* address -> name over the catalogued JNI and libc/libm surface, built
+   once from the host-function layout every device mounts *)
+let inverse =
   let inverse = Hashtbl.create 256 in
-  let candidates =
-    Syscalls.hooked @ Syscalls.modeled_libc @ Syscalls.modeled_libm
-    @ List.map fst Jni_names.functions
-  in
   List.iter
     (fun n ->
-      match extern n with
+      match Device.host_fn_addr n with
       | Some a -> if not (Hashtbl.mem inverse a) then Hashtbl.add inverse a n
       | None -> ())
-    candidates;
+    (Syscalls.hooked @ Syscalls.modeled_libc @ Syscalls.modeled_libm
+    @ List.map fst Jni_names.functions);
+  inverse
+
+let input_of_app (app : H.app) =
   { Analyzer.in_name = app.H.app_name;
     in_classes = app.H.classes;
-    in_libs = libs;
+    in_libs = app.H.build_libs Device.host_fn_addr;
     in_entries = [ app.H.entry ];
     in_resolve =
       (fun a ->

@@ -54,3 +54,34 @@ let suite =
       Alcotest.test_case (name ^ ": trace loop allocates nothing") `Quick
         (test_category name))
     instruction_bound
+
+(* Booting a device: the host-function layout is shared by every device
+   and the decode cache fits the minor heap, so a boot plus an NDroid
+   attach on a reused ring allocates nothing directly in the major heap
+   and a bounded number of minor words.  Major words minus promoted
+   words is what went straight to the major heap. *)
+module Ring = Ndroid_obs.Ring
+
+let boot_minor_bound = 5_100.
+
+let test_device_boot () =
+  let ring = Ring.create () in
+  let boot () =
+    ignore (Sys.opaque_identity (Ndroid.attach ~obs:ring (Device.create ())))
+  in
+  boot ();
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  boot ();
+  let minor = Gc.minor_words () -. minor0 in
+  let _, promoted1, major1 = Gc.counters () in
+  let direct = major1 -. major0 -. (promoted1 -. promoted0) in
+  Alcotest.(check (float 0.)) "major-heap words allocated directly" 0. direct;
+  if minor > boot_minor_bound then
+    Alcotest.failf "boot + attach: %.0f minor words (bound %.0f)" minor
+      boot_minor_bound
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "device boot: no major-heap words, bounded minor"
+        `Quick test_device_boot ]

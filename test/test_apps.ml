@@ -232,19 +232,11 @@ let test_custom_profile_flows_through () =
   let app = Ndroid_apps.Cases.case1 in
   let device = Ndroid_runtime.Device.create ~profile () in
   Ndroid_runtime.Device.install_classes device app.H.classes;
-  let extern name =
-    match
-      Ndroid_runtime.Device.Machine.host_fn_addr
-        (Ndroid_runtime.Device.machine device) name
-    with
-    | a -> Some a
-    | exception Not_found -> None
-  in
   List.iter
     (fun (name, prog) ->
       Ndroid_runtime.Device.provide_library device name prog;
       Ndroid_runtime.Device.load_library device name)
-    (app.H.build_libs extern);
+    (app.H.build_libs Ndroid_runtime.Device.host_fn_addr);
   let nd = Ndroid_core.Ndroid.attach device in
   ignore (Ndroid_runtime.Device.run device (fst app.H.entry) (snd app.H.entry) [||]);
   match Ndroid_core.Ndroid.leaks nd with

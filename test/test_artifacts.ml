@@ -84,11 +84,6 @@ let test_app_runs_from_artifacts () =
   let source = Ndroid_apps.Cases.case1' in
   let device = Device.create () in
   let fs = Device.fs device in
-  let extern name =
-    match Device.Machine.host_fn_addr (Device.machine device) name with
-    | a -> Some a
-    | exception Not_found -> None
-  in
   (* "build the APK" *)
   A.Filesystem.set_contents fs "/data/app/case1p/classes.dex"
     (Dexfile.to_string source.H.classes);
@@ -97,7 +92,7 @@ let test_app_runs_from_artifacts () =
       A.Filesystem.set_contents fs
         ("/data/app/case1p/lib/" ^ name ^ ".so")
         (Sofile.to_string prog))
-    (source.H.build_libs extern);
+    (source.H.build_libs Device.host_fn_addr);
   (* "install from the APK" *)
   Device.install_classes device
     (Dexfile.of_string (A.Filesystem.contents fs "/data/app/case1p/classes.dex"));
@@ -161,18 +156,11 @@ let test_packed_app_classifies_type1 () =
   (* a scenario app that calls System.loadLibrary packs to artifacts the
      binary classifier marks Type I *)
   let app = Ndroid_apps.Cases.case1 in
-  let device = Device.create () in
-  Device.install_classes device app.H.classes;
-  let extern name =
-    match Device.Machine.host_fn_addr (Device.machine device) name with
-    | a -> Some a
-    | exception Not_found -> None
-  in
   let entries =
     ("classes.dex", Dexfile.to_string app.H.classes)
     :: List.map
          (fun (n, prog) -> ("lib/armeabi/lib" ^ n ^ ".so", Sofile.to_string prog))
-         (app.H.build_libs extern)
+         (app.H.build_libs Device.host_fn_addr)
   in
   let apk = { Ndroid_corpus.Apk.apk_package = "case1"; entries } in
   Alcotest.(check string) "Type I" "Type I"

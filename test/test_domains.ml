@@ -21,7 +21,7 @@ module Market = Ndroid_corpus.Market
 module Registry = Ndroid_apps.Registry
 module Stream = Ndroid_obs.Stream
 
-let slice n = Task.of_market_slice (Market.scaled n)
+let slice ?mode n = Task.of_market_slice ?mode (Market.scaled n)
 
 let bundled_tasks mode =
   List.mapi
@@ -110,7 +110,9 @@ let test_stream_differential_fork_half () =
 let test_engine_differential () =
   let corpora =
     [ ("bundled both", bundled_tasks Task.Both);
-      ("market 300 static", slice 300) ]
+      ("market 300 static", slice 300);
+      (* every Both-mode app boots a device on the shared host layout *)
+      ("market 100 both", slice ~mode:Task.Both 100) ]
   in
   let inline = List.map (fun (_, ts) -> json_of (Pool.run_inline ts)) corpora in
   (* every forked run happens before the first domain spawn below *)

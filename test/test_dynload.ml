@@ -23,13 +23,9 @@ let movi rd v = Asm.I (Insn.mov rd (Insn.Imm v))
 let boot classes libs =
   let device = Device.create () in
   Device.install_classes device classes;
-  let extern name =
-    match Machine.host_fn_addr (Device.machine device) name with
-    | a -> Some a
-    | exception Not_found -> None
-  in
   List.iter
-    (fun (name, build) -> Device.provide_library device name (build extern))
+    (fun (name, build) ->
+      Device.provide_library device name (build Device.host_fn_addr))
     libs;
   device
 

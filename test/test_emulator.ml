@@ -14,11 +14,13 @@ let test_host_fn_dispatch () =
   let m = Machine.create () in
   Machine.set_host_fn_work m 0;
   let called = ref 0 in
-  ignore
-    (Machine.mount_host_fn m ~lib:"libc.so" ~name:"answer" ~addr:0x40100100
-       (fun cpu _mem ->
-         incr called;
-         Cpu.set_reg cpu 0 42));
+  Machine.mount_layout m
+    (Machine.host_layout
+       [ ( "libc.so", "answer", 0x40100100,
+           fun () cpu _mem ->
+             incr called;
+             Cpu.set_reg cpu 0 42 ) ])
+    ();
   let r0, _ = Machine.call_native m ~addr:0x40100100 ~args:[ 1; 2 ] () in
   Alcotest.(check int) "result" 42 r0;
   Alcotest.(check int) "called once" 1 !called;
@@ -27,9 +29,11 @@ let test_host_fn_dispatch () =
 let test_guest_calls_host () =
   let m = Machine.create () in
   Machine.set_host_fn_work m 0;
-  ignore
-    (Machine.mount_host_fn m ~lib:"libc.so" ~name:"add10" ~addr:0x40100100
-       (fun cpu _ -> Cpu.set_reg cpu 0 (Cpu.reg cpu 0 + 10)));
+  Machine.mount_layout m
+    (Machine.host_layout
+       [ ( "libc.so", "add10", 0x40100100,
+           fun () cpu _ -> Cpu.set_reg cpu 0 (Cpu.reg cpu 0 + 10) ) ])
+    ();
   let prog =
     Asm.assemble
       ~extern:(fun _ -> Some 0x40100100)
@@ -48,9 +52,9 @@ let test_guest_calls_host () =
 let test_events_sequence () =
   let m = Machine.create () in
   Machine.set_host_fn_work m 0;
-  ignore
-    (Machine.mount_host_fn m ~lib:"libc.so" ~name:"noop" ~addr:0x40100100
-       (fun _ _ -> ()));
+  Machine.mount_layout m
+    (Machine.host_layout [ ("libc.so", "noop", 0x40100100, fun () _ _ -> ()) ])
+    ();
   let prog =
     Asm.assemble
       ~extern:(fun _ -> Some 0x40100100)
@@ -97,14 +101,16 @@ let test_nested_call_native () =
         Asm.I (Insn.add 0 0 (Insn.Reg_shift_imm (0, Insn.LSL, 1)));
         Asm.I Insn.bx_lr ]
   in
-  ignore
-    (Machine.mount_host_fn m ~lib:"libdvm.so" ~name:"callback" ~addr:0x40000100
-       (fun cpu _ ->
-         let r0, _ =
-           Machine.call_native m ~addr:(Asm.fn_addr prog "triple")
-             ~args:[ Cpu.reg cpu 0 + 1 ] ()
-         in
-         Cpu.set_reg cpu 0 r0));
+  Machine.mount_layout m
+    (Machine.host_layout
+       [ ( "libdvm.so", "callback", 0x40000100,
+           fun () cpu _ ->
+             let r0, _ =
+               Machine.call_native m ~addr:(Asm.fn_addr prog "triple")
+                 ~args:[ Cpu.reg cpu 0 + 1 ] ()
+             in
+             Cpu.set_reg cpu 0 r0 ) ])
+    ();
   Machine.load_program m prog;
   let outer =
     Asm.assemble

@@ -219,6 +219,29 @@ let test_superblock_invalidation () =
   Alcotest.(check bool) "stale block retranslated" true
     (Superblock.invalidations sb > 0)
 
+(* the default path (superblocks off, decode cache on): a write into
+   loaded code must evict the cached decode of every instruction it
+   touches, including one it only overlaps from the upper halfword *)
+let test_decode_cache_invalidation () =
+  let prog = selfmod_prog () in
+  let m = Machine.create () in
+  Machine.load_program m prog;
+  let mem = Machine.mem m in
+  let f = Asm.fn_addr prog "n" and g = Asm.fn_addr prog "g" in
+  let call () = fst (Machine.call_native m ~addr:f ~args:[] ()) in
+  Alcotest.(check int) "before patch" 1 (call ());
+  let hits0, _ = Machine.icache_stats m in
+  Alcotest.(check int) "warm cache" 1 (call ());
+  let hits1, _ = Machine.icache_stats m in
+  Alcotest.(check bool) "decode was cached" true (hits1 > hits0);
+  Memory.write_u32 mem f (Memory.read_u32 mem g);
+  Alcotest.(check int) "after patch" 2 (call ());
+  (* mov r0,#2 -> mvn r0,#2 by rewriting only bytes f+2..f+3 *)
+  Alcotest.(check int) "re-cached" 2 (call ());
+  Memory.write_u16 mem (f + 2) ((Memory.read_u32 mem f lsr 16) lor 0x40);
+  Alcotest.(check int) "after a straddling patch" (lnot 2 land 0xFFFFFFFF)
+    (call ())
+
 (* device level: a runtime write into a summarized library must mark its
    summaries dirty, so the JNI bridge rejects them and re-emulates *)
 let selfmod_cls = "LSelfMod;"
@@ -321,4 +344,6 @@ let suite =
     Alcotest.test_case "detection apps agree across all taint paths" `Quick
       test_detection_agreement;
     Alcotest.test_case "summaries persist through the pipeline cache" `Quick
-      test_summary_cache_roundtrip ]
+      test_summary_cache_roundtrip;
+    Alcotest.test_case "self-modifying code evicts stale decodes" `Quick
+      test_decode_cache_invalidation ]

@@ -20,12 +20,9 @@ let mov rd rm = Asm.I (Insn.mov rd (Insn.Reg rm))
 let boot classes lib_items =
   let device = Device.create () in
   Device.install_classes device classes;
-  let extern name =
-    match Machine.host_fn_addr (Device.machine device) name with
-    | a -> Some a
-    | exception Not_found -> None
+  let prog =
+    Asm.assemble ~extern:Device.host_fn_addr ~base:Layout.app_lib_base lib_items
   in
-  let prog = Asm.assemble ~extern ~base:Layout.app_lib_base lib_items in
   Device.provide_library device "testlib" prog;
   Device.load_library device "testlib";
   device

@@ -126,8 +126,9 @@ let entries ring =
 let test_trace_records_in_order () =
   let m = Machine.create () in
   Machine.set_host_fn_work m 0;
-  ignore (Machine.mount_host_fn m ~lib:"libc.so" ~name:"nop" ~addr:0x40100100
-            (fun _ _ -> ()));
+  Machine.mount_layout m
+    (Machine.host_layout [ ("libc.so", "nop", 0x40100100, fun () _ _ -> ()) ])
+    ();
   let prog =
     Asm.assemble ~extern:(fun _ -> Some 0x40100100) ~base:Layout.app_lib_base
       [ Asm.I (Insn.mov 0 (Insn.Imm 1));
