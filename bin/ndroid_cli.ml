@@ -190,15 +190,12 @@ let cmd_pack name dir =
     1
   | Ok app ->
     (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    let dex_path = Filename.concat dir "classes.dex" in
-    write_file dex_path (Ndroid_dalvik.Dexfile.to_string app.H.classes);
-    Printf.printf "wrote %s\n" dex_path;
     List.iter
-      (fun (lib_name, prog) ->
-        let so_path = Filename.concat dir ("lib" ^ lib_name ^ ".so") in
-        write_file so_path (Ndroid_arm.Sofile.to_string prog);
-        Printf.printf "wrote %s\n" so_path)
-      (app.H.build_libs Ndroid_runtime.Device.host_fn_addr);
+      (fun (entry, bytes) ->
+        let path = Filename.concat dir (Filename.basename entry) in
+        write_file path bytes;
+        Printf.printf "wrote %s\n" path)
+      (Ndroid_static.Drive.apk_of_app app).Ndroid_corpus.Apk.entries;
     0
 
 let cmd_classify dir =

@@ -483,7 +483,10 @@ let fn_recv ctx cpu mem =
    with Invalid_argument _ -> ret cpu (-1 land mask32))
 
 let functions =
-  let f name handler = (name, handler) in
+  let open Ndroid_jni.Jni_names in
+  let row effect name handler = (syslib Libc effect name, handler) in
+  let f = row Stores_args and clean = row Clean in
+  let sink name = row (Sink name) name in
   [ f "memcpy" fn_memcpy;
     f "memmove" fn_memcpy;
     f "memset" fn_memset;
@@ -503,10 +506,10 @@ let functions =
     f "atoi" fn_atoi;
     f "atol" fn_atol;
     f "strtoul" fn_strtoul;
-    f "malloc" fn_malloc;
-    f "calloc" fn_calloc;
-    f "free" fn_free;
-    f "realloc" fn_realloc;
+    clean "malloc" fn_malloc;
+    clean "calloc" fn_calloc;
+    clean "free" fn_free;
+    clean "realloc" fn_realloc;
     f "strdup" fn_strdup;
     f "sprintf" fn_sprintf;
     f "vsprintf" fn_sprintf;
@@ -514,20 +517,20 @@ let functions =
     f "vsnprintf" fn_snprintf;
     f "sscanf" fn_sscanf;
     f "sysconf" fn_sysconf;
-    f "fopen" fn_fopen;
-    f "fclose" fn_fclose;
-    f "fwrite" fn_fwrite;
+    clean "fopen" fn_fopen;
+    clean "fclose" fn_fclose;
+    sink "fwrite" fn_fwrite;
     f "fread" fn_fread;
-    f "fputs" fn_fputs;
-    f "fputc" fn_fputc;
+    sink "fputs" fn_fputs;
+    sink "fputc" fn_fputc;
     f "fgets" fn_fgets;
     f "getc" fn_getc;
-    f "fprintf" fn_fprintf;
-    f "vfprintf" fn_fprintf;
+    sink "fprintf" fn_fprintf;
+    row (Sink "fprintf") "vfprintf" fn_fprintf;
     f "fdopen" fn_fdopen;
-    f "open" fn_open;
-    f "close" fn_close;
-    f "write" fn_write;
+    clean "open" fn_open;
+    clean "close" fn_close;
+    sink "write" fn_write;
     f "read" fn_read;
     f "mkdir" fn_mkdir;
     f "stat" fn_stat;
@@ -562,9 +565,9 @@ let functions =
         in
         ret cpu addr);
     f "dlclose" fn_ret0;
-    f "socket" fn_socket;
-    f "connect" fn_connect;
-    f "send" fn_send;
-    f "sendto" fn_sendto;
+    clean "socket" fn_socket;
+    clean "connect" fn_connect;
+    sink "send" fn_send;
+    sink "sendto" fn_sendto;
     f "recv" fn_recv;
     f "recvfrom" fn_recv ]

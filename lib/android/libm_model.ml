@@ -1,5 +1,6 @@
 module Cpu = Ndroid_arm.Cpu
 module Memory = Ndroid_arm.Memory
+module J = Ndroid_jni.Jni_names
 
 let mask32 = 0xFFFFFFFF
 
@@ -18,39 +19,44 @@ let get_float cpu i = Int32.float_of_bits (Int32.of_int (Cpu.reg cpu i))
 let set_float cpu i f =
   Cpu.set_reg cpu i (Int32.to_int (Int32.bits_of_float f) land mask32)
 
+let math arity single name =
+  { (J.syslib J.Libm J.Stores_args name) with J.shape = J.Math { arity; single } }
+
 let unary_d name op =
-  ( name,
+  ( math 1 false name,
     fun cpu (_ : Memory.t) -> set_double cpu 0 (op (get_double cpu 0)) )
 
 let binary_d name op =
-  ( name,
+  ( math 2 false name,
     fun cpu (_ : Memory.t) ->
       set_double cpu 0 (op (get_double cpu 0) (get_double cpu 2)) )
 
 let unary_f name op =
-  (name, fun cpu (_ : Memory.t) -> set_float cpu 0 (op (get_float cpu 0)))
+  ( math 1 true name,
+    fun cpu (_ : Memory.t) -> set_float cpu 0 (op (get_float cpu 0)) )
 
 let binary_f name op =
-  ( name,
+  ( math 2 true name,
     fun cpu (_ : Memory.t) -> set_float cpu 0 (op (get_float cpu 0) (get_float cpu 1))
   )
 
 let fn_strtod =
-  ( "strtod",
+  ( J.syslib J.Libm J.Stores_args "strtod",
     fun cpu mem ->
       let s = Memory.read_cstring mem (Cpu.reg cpu 0) in
       let v = try float_of_string (String.trim s) with Failure _ -> 0.0 in
       set_double cpu 0 v )
 
 let fn_strtol =
-  ( "strtol",
+  ( J.syslib J.Libm J.Stores_args "strtol",
     fun cpu mem ->
       let s = Memory.read_cstring mem (Cpu.reg cpu 0) in
       let v = try int_of_string (String.trim s) with Failure _ -> 0 in
       Cpu.set_reg cpu 0 (v land mask32) )
 
+(* arity 1: the int exponent is not a floating-point argument *)
 let fn_ldexp =
-  ( "ldexp",
+  ( math 1 false "ldexp",
     fun cpu (_ : Memory.t) ->
       (* double in r0:r1, int exponent in r2 *)
       let x = get_double cpu 0 in

@@ -10,8 +10,10 @@
 module Cpu = Ndroid_arm.Cpu
 module Memory = Ndroid_arm.Memory
 
-val functions : (string * (Cpu.t -> Memory.t -> unit)) list
-(** All 26 modeled libm entries plus [strtod]/[strtol]. *)
+val functions : (Ndroid_jni.Jni_names.row * (Cpu.t -> Memory.t -> unit)) list
+(** All 26 modeled libm entries ([strtod]/[strtol] included) as catalogue
+    rows and handlers, in mount order.  A math function's row gives the
+    arity and precision its taint summary reads. *)
 
 val get_double : Cpu.t -> int -> float
 (** Read a double from the register pair starting at register index. *)

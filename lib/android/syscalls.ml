@@ -7,7 +7,6 @@ let hooked =
     "chown"; "ptrace"; "sysconf"; "fprintf" ]
 
 let sinks = [ "fwrite"; "write"; "fputc"; "fputs"; "send"; "sendto"; "fprintf" ]
-let is_sink name = List.mem name sinks
 
 let modeled_libc =
   [ "memcpy"; "free"; "malloc"; "memset"; "strlen"; "strcmp"; "realloc";

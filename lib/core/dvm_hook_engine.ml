@@ -10,6 +10,7 @@ module Vm = Ndroid_dalvik.Vm
 module Classes = Ndroid_dalvik.Classes
 module A = Ndroid_android
 module Ring = Ndroid_obs.Ring
+module J = Ndroid_jni.Jni_names
 
 type frame_snapshot = { fs_name : string; fs_regs : int array }
 
@@ -30,92 +31,6 @@ let policies_applied t = t.policies_applied
 let multilevel_checks t = Multilevel.checks t.multilevel
 let multilevel_level t = Multilevel.level t.multilevel
 let always_hook_scans t = t.always_hook_scans
-
-(* ---- helpers ---- *)
-
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-let ends_with ~suffix s =
-  String.length s >= String.length suffix
-  && String.sub s (String.length s - String.length suffix) (String.length suffix)
-     = suffix
-
-(* Call<Type>Method... wrappers: extract the return-type name. *)
-let call_method_type name =
-  let strip_prefix p s =
-    if starts_with ~prefix:p s then
-      Some (String.sub s (String.length p) (String.length s - String.length p))
-    else None
-  in
-  let rest =
-    match strip_prefix "CallNonvirtual" name with
-    | Some r -> Some r
-    | None -> (
-      match strip_prefix "CallStatic" name with
-      | Some r -> Some r
-      | None -> strip_prefix "Call" name)
-  in
-  match rest with
-  | None -> None
-  | Some r ->
-    let r =
-      if ends_with ~suffix:"MethodV" r || ends_with ~suffix:"MethodA" r then
-        String.sub r 0 (String.length r - 7)
-      else if ends_with ~suffix:"Method" r then
-        String.sub r 0 (String.length r - 6)
-      else r
-    in
-    if r = "" then None else Some r
-
-(* The addresses of the Call*Method* wrappers (Table II) in the layout
-   every device mounts: the multilevel chain's entry test, decided once
-   per process. *)
-let call_entries =
-  let entries = Hashtbl.create 128 in
-  List.iter
-    (fun (name, _) ->
-      match call_method_type name, Device.host_fn_addr name with
-      | Some _, Some addr -> Hashtbl.replace entries addr ()
-      | _ -> ())
-    Ndroid_jni.Jni_names.functions;
-  entries
-
-let field_access name =
-  (* Get/Set[Static]<Type>Field *)
-  if not (ends_with ~suffix:"Field" name) then None
-  else if starts_with ~prefix:"GetStatic" name then Some (`Get, true)
-  else if starts_with ~prefix:"SetStatic" name then Some (`Set, true)
-  else if starts_with ~prefix:"Get" name then Some (`Get, false)
-  else if starts_with ~prefix:"Set" name then Some (`Set, false)
-  else None
-
-let array_elements name =
-  if not (ends_with ~suffix:"ArrayElements" name) then None
-  else if starts_with ~prefix:"Get" name then Some `Get
-  else if starts_with ~prefix:"Release" name then Some `Release
-  else None
-
-let array_region name =
-  if not (ends_with ~suffix:"ArrayRegion" name) then None
-  else if starts_with ~prefix:"Get" name then Some `Get
-  else if starts_with ~prefix:"Set" name then Some `Set
-  else None
-
-let region_width name =
-  if starts_with ~prefix:"GetLong" name || starts_with ~prefix:"SetLong" name
-     || starts_with ~prefix:"GetDouble" name
-     || starts_with ~prefix:"SetDouble" name
-  then 8
-  else 4
-
-let elem_width name =
-  if starts_with ~prefix:"GetLong" name || starts_with ~prefix:"ReleaseLong" name
-     || starts_with ~prefix:"GetDouble" name
-     || starts_with ~prefix:"ReleaseDouble" name
-  then 8
-  else 4
 
 (* ---- event handling ---- *)
 
@@ -162,83 +77,76 @@ let on_jni_enter t =
     end
   | None -> ()
 
-let on_host_pre t (hf : Machine.host_fn) =
+let on_host_pre t (row : J.row) =
   let cpu = Machine.cpu (Device.machine t.device) in
-  let name = hf.Machine.hf_name in
   t.pre_stack <-
-    { fs_name = name; fs_regs = Array.copy cpu.Cpu.regs } :: t.pre_stack;
-  match name with
-  | "dvmCallJNIMethod" -> on_jni_enter t
-  | "dvmInterpret" -> (
-    (* Fig. 9: log the frame about to be interpreted and the taints NDroid
-       injects into its slots. *)
-    match Device.pending_interp_args t.device with
-    | Some (args, jm) ->
-      Flow_log.recordf t.log "dvmInterpret Begin";
-      Flow_log.recordf t.log "Method Name: %s" jm.Classes.m_name;
-      Flow_log.recordf t.log "Method Shorty: %s" jm.Classes.m_shorty;
-      Array.iteri
-        (fun i (_, tag) ->
-          if Taint.is_tainted tag then begin
-            Flow_log.recordf t.log "args[%d] taint: %a" i Taint.pp tag;
-            Flow_log.recordf t.log "add taint to new method frame"
-          end)
-        args
-    | None -> ())
-  | "SetObjectArrayElement" -> (
-    let arr = Cpu.reg cpu 1 and v = Cpu.reg cpu 3 in
+    { fs_name = row.J.name; fs_regs = Array.copy cpu.Cpu.regs } :: t.pre_stack;
+  match row.J.shape with
+  | J.Field { set = true; _ } ->
+    (* value is argument 3; objects contribute their own tag *)
+    let fid = Cpu.reg cpu 2 and obj_iref = Cpu.reg cpu 1 in
+    let raw = Cpu.reg cpu 3 in
     let tag =
       Taint.union (Taint_engine.reg t.engine 3)
-        (Device.object_taint t.device ~iref:v)
+        (Device.object_taint t.device ~iref:raw)
     in
-    if Taint.is_tainted tag then Device.add_object_taint t.device ~iref:arr tag)
-  | _ -> (
-    match field_access name with
-    | Some (`Set, _static) ->
-      (* value is argument 3; objects contribute their own tag *)
-      let fid = Cpu.reg cpu 2 and obj_iref = Cpu.reg cpu 1 in
-      let raw = Cpu.reg cpu 3 in
+    if Taint.is_tainted tag then begin
+      Device.add_field_taint t.device ~obj_iref ~fid tag;
+      Flow_log.recordf t.log "TrustCallHandler[%s]: field taint := %a" row.J.name
+        Taint.pp tag
+    end
+  | J.Array_elements { release = true; ty } ->
+    let arr = Cpu.reg cpu 1 and buf = Cpu.reg cpu 2 and mode = Cpu.reg cpu 3 in
+    if mode <> 2 then (
+      match Device.array_length t.device ~iref:arr with
+      | Some len ->
+        let tag = Taint_engine.mem t.engine buf (len * J.width ty) in
+        if Taint.is_tainted tag then Device.add_object_taint t.device ~iref:arr tag
+      | None -> ())
+  | J.Array_region { set = true; ty } ->
+    (* native buffer contents flow into the Java array *)
+    let mem = Machine.mem (Device.machine t.device) in
+    let arr = Cpu.reg cpu 1
+    and len = Cpu.reg cpu 3
+    and buf = A.Libc_model.arg cpu mem 4 in
+    let tag = Taint_engine.mem t.engine buf (len * J.width ty) in
+    if Taint.is_tainted tag then Device.add_object_taint t.device ~iref:arr tag
+  | J.Single -> (
+    match row.J.name with
+    | "dvmCallJNIMethod" -> on_jni_enter t
+    | "dvmInterpret" -> (
+      (* Fig. 9: log the frame about to be interpreted and the taints NDroid
+         injects into its slots. *)
+      match Device.pending_interp_args t.device with
+      | Some (args, jm) ->
+        Flow_log.recordf t.log "dvmInterpret Begin";
+        Flow_log.recordf t.log "Method Name: %s" jm.Classes.m_name;
+        Flow_log.recordf t.log "Method Shorty: %s" jm.Classes.m_shorty;
+        Array.iteri
+          (fun i (_, tag) ->
+            if Taint.is_tainted tag then begin
+              Flow_log.recordf t.log "args[%d] taint: %a" i Taint.pp tag;
+              Flow_log.recordf t.log "add taint to new method frame"
+            end)
+          args
+      | None -> ())
+    | "SetObjectArrayElement" ->
+      let arr = Cpu.reg cpu 1 and v = Cpu.reg cpu 3 in
       let tag =
         Taint.union (Taint_engine.reg t.engine 3)
-          (Device.object_taint t.device ~iref:raw)
+          (Device.object_taint t.device ~iref:v)
       in
-      if Taint.is_tainted tag then begin
-        Device.add_field_taint t.device ~obj_iref ~fid tag;
-        Flow_log.recordf t.log "TrustCallHandler[%s]: field taint := %a" name
-          Taint.pp tag
-      end
-    | Some (`Get, _) | None -> (
-      match array_elements name with
-      | Some `Release ->
-        let arr = Cpu.reg cpu 1 and buf = Cpu.reg cpu 2 and mode = Cpu.reg cpu 3 in
-        if mode <> 2 then (
-          match Device.array_length t.device ~iref:arr with
-          | Some len ->
-            let tag = Taint_engine.mem t.engine buf (len * elem_width name) in
-            if Taint.is_tainted tag then
-              Device.add_object_taint t.device ~iref:arr tag
-          | None -> ())
-      | Some `Get | None -> (
-        match array_region name with
-        | Some `Set ->
-          (* native buffer contents flow into the Java array *)
-          let machine = Device.machine t.device in
-          let mem = Machine.mem machine in
-          let arr = Cpu.reg cpu 1
-          and len = Cpu.reg cpu 3
-          and buf = A.Libc_model.arg cpu mem 4 in
-          let tag = Taint_engine.mem t.engine buf (len * region_width name) in
-          if Taint.is_tainted tag then
-            Device.add_object_taint t.device ~iref:arr tag
-        | Some `Get | None -> ())))
+      if Taint.is_tainted tag then Device.add_object_taint t.device ~iref:arr tag
+    | _ -> ())
+  | J.Call_method _ | J.Field _ | J.New_array _ | J.Array_elements _
+  | J.Array_region _ | J.Math _ ->
+    ()
 
-let wide_return ty = ty = "Long" || ty = "Double"
-
-let on_host_post t (hf : Machine.host_fn) =
+let on_host_post t (row : J.row) =
   let machine = Device.machine t.device in
   let cpu = Machine.cpu machine in
   let mem = Machine.mem machine in
-  let name = hf.Machine.hf_name in
+  let name = row.J.name in
   let pre =
     match t.pre_stack with
     | top :: rest when top.fs_name = name ->
@@ -247,122 +155,127 @@ let on_host_post t (hf : Machine.host_fn) =
     | _ -> None
   in
   let pre_reg i = match pre with Some regs -> regs.(i) | None -> Cpu.reg cpu i in
-  (match call_method_type name with
-   | Some ty ->
-     (* JNI exit: Java's return taint enters the native shadow registers. *)
-     let _, ret_taint = (Device.vm t.device).Vm.ret in
-     Taint_engine.set_reg t.engine 0 ret_taint;
-     if wide_return ty then Taint_engine.set_reg t.engine 1 ret_taint;
-     if Taint.is_tainted ret_taint then
-       Ring.emit_jni_ret t.log ~name ~taint:(Taint.to_bits ret_taint)
-   | None -> ());
-  match name with
-  | "NewStringUTF" ->
-    let cstr = pre_reg 1 in
-    let s = Memory.read_cstring mem cstr in
-    let tag =
-      Taint.union
-        (Taint_engine.mem t.engine cstr (String.length s + 1))
-        (Taint_engine.reg t.engine 1)
-    in
-    let iref = Cpu.reg cpu 0 in
-    if Taint.is_tainted tag then begin
-      Device.add_object_taint t.device ~iref tag;
-      (match Device.object_addr t.device ~iref with
-       | Some addr ->
-         Flow_log.recordf t.log "realStringAddr:0x%x" addr;
-         Flow_log.recordf t.log "add taint %a to new string object@0x%x" Taint.pp
-           tag addr;
-         Ring.emit_taint_mem t.log ~addr ~taint:(Taint.to_bits tag)
-       | None -> ());
-      Flow_log.recordf t.log "NewStringUTF return 0x%x" iref
-    end
-  | "NewString" ->
-    let ptr = pre_reg 1 and len = pre_reg 2 in
-    let tag =
-      Taint.union (Taint_engine.mem t.engine ptr (2 * len))
-        (Taint_engine.reg t.engine 1)
-    in
-    let iref = Cpu.reg cpu 0 in
-    if Taint.is_tainted tag then Device.add_object_taint t.device ~iref tag
-  | "dvmCreateStringFromCstr" ->
-    let s = Memory.read_cstring mem (pre_reg 1) in
-    Flow_log.recordf t.log "dvmCreateStringFromCstr Begin";
-    Flow_log.recordf t.log "%s" s;
-    Flow_log.recordf t.log "dvmCreateStringFromCstr return 0x%x" (Cpu.reg cpu 0)
-  | "GetStringUTFChars" ->
-    let jstring = pre_reg 1 in
+  match row.J.shape with
+  | J.Call_method { ret; _ } ->
+    (* JNI exit: Java's return taint enters the native shadow registers. *)
+    let _, ret_taint = (Device.vm t.device).Vm.ret in
+    Taint_engine.set_reg t.engine 0 ret_taint;
+    if J.width ret = 8 then Taint_engine.set_reg t.engine 1 ret_taint;
+    if Taint.is_tainted ret_taint then
+      Ring.emit_jni_ret t.log ~name ~taint:(Taint.to_bits ret_taint)
+  | J.Field { set = false; _ } ->
+    let fid = pre_reg 2 and obj_iref = pre_reg 1 in
+    let tag = Device.field_taint t.device ~obj_iref ~fid in
+    Taint_engine.set_reg t.engine 0 tag;
+    if Taint.is_tainted tag then
+      Flow_log.recordf t.log "TrustCallHandler[%s]: t(r0) := %a" name Taint.pp tag
+  | J.Array_elements { release = false; ty } -> (
+    let arr = pre_reg 1 in
     let buf = Cpu.reg cpu 0 in
-    if buf <> 0 then begin
-      let s = Memory.read_cstring mem buf in
-      let tag = Device.object_taint t.device ~iref:jstring in
-      Flow_log.recordf t.log "TrustCallHandler[GetStringUTFChars] begin";
-      if Taint.is_tainted tag then begin
-        Taint_engine.add_mem t.engine buf (String.length s + 1) tag;
-        Taint_engine.set_reg t.engine 0 tag;
-        Flow_log.recordf t.log "jstring taint:%a" Taint.pp tag;
-        Ring.emit_taint_mem t.log ~addr:buf ~taint:(Taint.to_bits tag)
-      end;
-      Flow_log.recordf t.log "TrustCallHandler[GetStringUTFChars] end"
-    end
-  | "GetStringChars" ->
-    let jstring = pre_reg 1 in
-    let buf = Cpu.reg cpu 0 in
-    (match Device.array_length t.device ~iref:jstring with
-     | Some len when buf <> 0 ->
-       let tag = Device.object_taint t.device ~iref:jstring in
-       if Taint.is_tainted tag then begin
-         Taint_engine.add_mem t.engine buf ((2 * len) + 2) tag;
-         Taint_engine.set_reg t.engine 0 tag
-       end
-     | Some _ | None -> ())
-  | "GetStringUTFLength" | "GetStringLength" | "GetArrayLength" ->
-    Taint_engine.set_reg t.engine 0 (Device.object_taint t.device ~iref:(pre_reg 1))
-  | "GetObjectArrayElement" ->
-    let arr_tag = Device.object_taint t.device ~iref:(pre_reg 1) in
-    let elem = Cpu.reg cpu 0 in
-    Taint_engine.set_reg t.engine 0 arr_tag;
-    if elem <> 0 && Taint.is_tainted arr_tag then
-      Device.add_object_taint t.device ~iref:elem arr_tag
-  | "ThrowNew" ->
-    Flow_log.recordf t.log "ThrowNew: exception carries native taint"
-  | "GetStringUTFRegion" | "GetStringRegion" ->
-    (* Java string chars landed in a native buffer (arg 4, on the stack) *)
-    let jstring = pre_reg 1 and len = pre_reg 3 in
-    let buf = Memory.read_u32 mem (pre_reg 13) in
-    let tag = Device.object_taint t.device ~iref:jstring in
-    let width = if name = "GetStringRegion" then 2 else 1 in
-    if Taint.is_tainted tag && len > 0 then
-      Taint_engine.add_mem t.engine buf ((len * width) + 1) tag
-  | _ -> (
-    match field_access name with
-    | Some (`Get, _static) ->
-      let fid = pre_reg 2 and obj_iref = pre_reg 1 in
-      let tag = Device.field_taint t.device ~obj_iref ~fid in
-      Taint_engine.set_reg t.engine 0 tag;
+    match Device.array_length t.device ~iref:arr with
+    | Some len when buf <> 0 ->
+      let tag = Device.object_taint t.device ~iref:arr in
       if Taint.is_tainted tag then
-        Flow_log.recordf t.log "TrustCallHandler[%s]: t(r0) := %a" name Taint.pp tag
-    | Some (`Set, _) | None -> (
-      match array_elements name with
-      | Some `Get ->
-        let arr = pre_reg 1 in
-        let buf = Cpu.reg cpu 0 in
-        (match Device.array_length t.device ~iref:arr with
-         | Some len when buf <> 0 ->
-           let tag = Device.object_taint t.device ~iref:arr in
-           if Taint.is_tainted tag then
-             Taint_engine.add_mem t.engine buf (len * elem_width name) tag
-         | Some _ | None -> ())
-      | Some `Release | None -> (
-        match array_region name with
-        | Some `Get ->
-          (* Java array contents landed in a native buffer *)
-          let arr = pre_reg 1 and len = pre_reg 3 in
-          let buf = Memory.read_u32 mem (pre_reg 13) in
-          let tag = Device.object_taint t.device ~iref:arr in
-          if Taint.is_tainted tag && len > 0 then
-            Taint_engine.add_mem t.engine buf (len * region_width name) tag
-        | Some `Set | None -> ())))
+        Taint_engine.add_mem t.engine buf (len * J.width ty) tag
+    | Some _ | None -> ())
+  | J.Array_region { set = false; ty } ->
+    (* Java array contents landed in a native buffer *)
+    let arr = pre_reg 1 and len = pre_reg 3 in
+    let buf = Memory.read_u32 mem (pre_reg 13) in
+    let tag = Device.object_taint t.device ~iref:arr in
+    if Taint.is_tainted tag && len > 0 then
+      Taint_engine.add_mem t.engine buf (len * J.width ty) tag
+  | J.Single -> (
+    match name with
+    | "NewStringUTF" ->
+      let cstr = pre_reg 1 in
+      let s = Memory.read_cstring mem cstr in
+      let tag =
+        Taint.union
+          (Taint_engine.mem t.engine cstr (String.length s + 1))
+          (Taint_engine.reg t.engine 1)
+      in
+      let iref = Cpu.reg cpu 0 in
+      if Taint.is_tainted tag then begin
+        Device.add_object_taint t.device ~iref tag;
+        (match Device.object_addr t.device ~iref with
+         | Some addr ->
+           Flow_log.recordf t.log "realStringAddr:0x%x" addr;
+           Flow_log.recordf t.log "add taint %a to new string object@0x%x" Taint.pp
+             tag addr;
+           Ring.emit_taint_mem t.log ~addr ~taint:(Taint.to_bits tag)
+         | None -> ());
+        Flow_log.recordf t.log "NewStringUTF return 0x%x" iref
+      end
+    | "NewString" ->
+      let ptr = pre_reg 1 and len = pre_reg 2 in
+      let tag =
+        Taint.union (Taint_engine.mem t.engine ptr (2 * len))
+          (Taint_engine.reg t.engine 1)
+      in
+      let iref = Cpu.reg cpu 0 in
+      if Taint.is_tainted tag then Device.add_object_taint t.device ~iref tag
+    | "dvmCreateStringFromCstr" ->
+      let s = Memory.read_cstring mem (pre_reg 1) in
+      Flow_log.recordf t.log "dvmCreateStringFromCstr Begin";
+      Flow_log.recordf t.log "%s" s;
+      Flow_log.recordf t.log "dvmCreateStringFromCstr return 0x%x" (Cpu.reg cpu 0)
+    | "GetStringUTFChars" ->
+      let jstring = pre_reg 1 in
+      let buf = Cpu.reg cpu 0 in
+      if buf <> 0 then begin
+        let s = Memory.read_cstring mem buf in
+        let tag = Device.object_taint t.device ~iref:jstring in
+        Flow_log.recordf t.log "TrustCallHandler[GetStringUTFChars] begin";
+        if Taint.is_tainted tag then begin
+          Taint_engine.add_mem t.engine buf (String.length s + 1) tag;
+          Taint_engine.set_reg t.engine 0 tag;
+          Flow_log.recordf t.log "jstring taint:%a" Taint.pp tag;
+          Ring.emit_taint_mem t.log ~addr:buf ~taint:(Taint.to_bits tag)
+        end;
+        Flow_log.recordf t.log "TrustCallHandler[GetStringUTFChars] end"
+      end
+    | "GetStringChars" -> (
+      let jstring = pre_reg 1 in
+      let buf = Cpu.reg cpu 0 in
+      match Device.array_length t.device ~iref:jstring with
+      | Some len when buf <> 0 ->
+        let tag = Device.object_taint t.device ~iref:jstring in
+        if Taint.is_tainted tag then begin
+          Taint_engine.add_mem t.engine buf ((2 * len) + 2) tag;
+          Taint_engine.set_reg t.engine 0 tag
+        end
+      | Some _ | None -> ())
+    | "GetStringUTFLength" | "GetStringLength" | "GetArrayLength" ->
+      Taint_engine.set_reg t.engine 0 (Device.object_taint t.device ~iref:(pre_reg 1))
+    | "GetObjectArrayElement" ->
+      let arr_tag = Device.object_taint t.device ~iref:(pre_reg 1) in
+      let elem = Cpu.reg cpu 0 in
+      Taint_engine.set_reg t.engine 0 arr_tag;
+      if elem <> 0 && Taint.is_tainted arr_tag then
+        Device.add_object_taint t.device ~iref:elem arr_tag
+    | "ThrowNew" -> Flow_log.recordf t.log "ThrowNew: exception carries native taint"
+    | "GetStringUTFRegion" | "GetStringRegion" ->
+      (* Java string chars landed in a native buffer (arg 4, on the stack) *)
+      let jstring = pre_reg 1 and len = pre_reg 3 in
+      let buf = Memory.read_u32 mem (pre_reg 13) in
+      let tag = Device.object_taint t.device ~iref:jstring in
+      let width = if name = "GetStringRegion" then 2 else 1 in
+      if Taint.is_tainted tag && len > 0 then
+        Taint_engine.add_mem t.engine buf ((len * width) + 1) tag
+    | _ -> ())
+  | J.Field _ | J.New_array _ | J.Array_elements _ | J.Array_region _ | J.Math _ -> ()
+
+(* The multilevel chain's second and third levels (Fig. 5), in the layout
+   every device mounts. *)
+let dvm_call_method =
+  let addrs =
+    List.filter_map Device.host_fn_addr
+      [ "dvmCallMethod"; "dvmCallMethodV"; "dvmCallMethodA" ]
+  in
+  fun addr -> List.mem addr addrs
+
+let interpret_addr = Option.value (Device.host_fn_addr "dvmInterpret") ~default:(-1)
 
 let on_insn t ~addr =
   match Source_policy.Table.find t.table addr with
@@ -385,15 +298,10 @@ let attach ?(use_multilevel = true) ?(gate = fun () -> true) device engine log =
      target outside the mounted-address bounds is guest code, answered
      with two compares before any table probe *)
   let call_entry addr =
-    Machine.in_host_range machine addr && Hashtbl.mem call_entries addr
-  in
-  let dvm_call_method addr =
-    match Machine.find_host_fn machine addr with
-    | Some hf -> starts_with ~prefix:"dvmCallMethod" hf.Machine.hf_name
-    | None -> false
-  in
-  let interpret_addr =
-    try Machine.host_fn_addr machine "dvmInterpret" with Not_found -> -1
+    Machine.in_host_range machine addr
+    && match Device.host_row addr with
+       | Some { J.shape = J.Call_method _; _ } -> true
+       | Some _ | None -> false
   in
   let multilevel =
     Multilevel.create
@@ -432,11 +340,14 @@ let attach ?(use_multilevel = true) ?(gate = fun () -> true) device engine log =
   Machine.add_listener machine (fun ev ->
       if gate () then
         match ev with
-        | Machine.Ev_host_pre hf when hf.Machine.hf_lib = "libdvm.so" ->
-          on_host_pre t hf
-        | Machine.Ev_host_post hf when hf.Machine.hf_lib = "libdvm.so" ->
-          on_host_post t hf
-        | Machine.Ev_host_pre _ | Machine.Ev_host_post _ -> ()
+        | Machine.Ev_host_pre hf -> (
+          match Device.host_row hf.Machine.hf_addr with
+          | Some ({ J.lib = J.Libdvm; _ } as row) -> on_host_pre t row
+          | Some _ | None -> ())
+        | Machine.Ev_host_post hf -> (
+          match Device.host_row hf.Machine.hf_addr with
+          | Some ({ J.lib = J.Libdvm; _ } as row) -> on_host_post t row
+          | Some _ | None -> ())
         | Machine.Ev_branch { from_; to_; _ } ->
           if t.use_multilevel then
             ignore (Multilevel.observe t.multilevel ~from_ ~to_)

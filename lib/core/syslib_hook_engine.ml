@@ -6,6 +6,7 @@ module Cpu = Ndroid_arm.Cpu
 module Memory = Ndroid_arm.Memory
 module A = Ndroid_android
 module Ring = Ndroid_obs.Ring
+module J = Ndroid_jni.Jni_names
 
 type t = {
   device : Device.t;
@@ -113,8 +114,6 @@ let scrub_range t mem addr n =
 let on_pre t name cpu mem =
   let r i = Cpu.reg cpu i in
   let rt i = Taint_engine.reg t.engine i in
-  let mt addr n = Taint_engine.mem t.engine addr n in
-  let arg = A.Libc_model.arg cpu mem in
   match name with
   (* ---- Table VI taint summaries (applied before the behaviour runs,
           like Listing 3's isBegin branch) ---- *)
@@ -147,38 +146,52 @@ let on_pre t name cpu mem =
     (match A.Native_heap.block_size (Device.native_heap t.device) (r 0) with
      | Some size -> t.pending_free <- Some (r 0, size)
      | None -> t.pending_free <- None)
-  (* ---- Table VII native sinks ---- *)
+  | "fopen" ->
+    Flow_log.recordf t.log "TrustCallHandler[fopen] begin";
+    Flow_log.recordf t.log "Open '%s'" (Memory.read_cstring mem (r 0));
+    Flow_log.recordf t.log "TrustCallHandler[fopen] end"
+  | "fclose" -> Flow_log.recordf t.log "TrustCallHandler[fclose] Close FILE@0x%x" (r 0)
+  | _ -> ()
+
+(* Table VII native sinks: the row's sink mark says whether a call is one
+   and the name its leaks are reported under; the function says where its
+   payload is. *)
+let on_sink t ~sink name cpu mem =
+  let r i = Cpu.reg cpu i in
+  let rt i = Taint_engine.reg t.engine i in
+  let mt addr n = Taint_engine.mem t.engine addr n in
+  match name with
   | "send" ->
     let data () = read_data mem (r 1) (r 2) in
-    inspect t ~sink:"send" ~taint:(mt (r 1) (r 2)) ~data ~detail:(fd_detail t (r 0))
+    inspect t ~sink ~taint:(mt (r 1) (r 2)) ~data ~detail:(fd_detail t (r 0))
       ~scrub:(fun () -> scrub_range t mem (r 1) (r 2))
   | "sendto" ->
     let data () = read_data mem (r 1) (r 2) in
-    let dest = Memory.read_cstring mem (arg 4) in
-    inspect t ~sink:"sendto" ~taint:(mt (r 1) (r 2)) ~data ~detail:dest
+    let dest = Memory.read_cstring mem (A.Libc_model.arg cpu mem 4) in
+    inspect t ~sink ~taint:(mt (r 1) (r 2)) ~data ~detail:dest
       ~scrub:(fun () -> scrub_range t mem (r 1) (r 2))
   | "write" ->
     let data () = read_data mem (r 1) (r 2) in
     let tag = mt (r 1) (r 2) in
     stamp_file_taint t (r 0) tag;
-    inspect t ~sink:"write" ~taint:tag ~data ~detail:(fd_detail t (r 0))
+    inspect t ~sink ~taint:tag ~data ~detail:(fd_detail t (r 0))
       ~scrub:(fun () -> scrub_range t mem (r 1) (r 2))
   | "fwrite" ->
     let n = r 1 * r 2 in
     let data () = read_data mem (r 0) n in
     let tag = mt (r 0) n in
     stamp_file_ptr_taint t (r 3) tag;
-    inspect t ~sink:"fwrite" ~taint:tag ~data ~detail:(file_detail t (r 3))
+    inspect t ~sink ~taint:tag ~data ~detail:(file_detail t (r 3))
       ~scrub:(fun () -> scrub_range t mem (r 0) n)
   | "fputs" ->
     let len = cstr_len mem (r 0) - 1 in
     let data () = Memory.read_cstring mem (r 0) in
     let tag = mt (r 0) len in
     stamp_file_ptr_taint t (r 1) tag;
-    inspect t ~sink:"fputs" ~taint:tag ~data ~detail:(file_detail t (r 1))
+    inspect t ~sink ~taint:tag ~data ~detail:(file_detail t (r 1))
       ~scrub:(fun () -> scrub_range t mem (r 0) len)
   | "fputc" ->
-    inspect t ~sink:"fputc" ~taint:(rt 0)
+    inspect t ~sink ~taint:(rt 0)
       ~data:(fun () -> String.make 1 (Char.chr (r 0 land 0xFF)))
       ~detail:(file_detail t (r 1))
   | "fprintf" | "vfprintf" ->
@@ -197,33 +210,9 @@ let on_pre t name cpu mem =
         varargs
     in
     stamp_file_ptr_taint t (r 0) tag;
-    inspect t ~sink:"fprintf" ~taint:tag ~data:(fun () -> rendered)
+    inspect t ~sink ~taint:tag ~data:(fun () -> rendered)
       ~detail:(file_detail t (r 0)) ~scrub
-  | "fopen" ->
-    Flow_log.recordf t.log "TrustCallHandler[fopen] begin";
-    Flow_log.recordf t.log "Open '%s'" (Memory.read_cstring mem (r 0));
-    Flow_log.recordf t.log "TrustCallHandler[fopen] end"
-  | "fclose" -> Flow_log.recordf t.log "TrustCallHandler[fclose] Close FILE@0x%x" (r 0)
   | _ -> ()
-
-let libm_unary_f = [ "sinf"; "cosf"; "sqrtf"; "expf" ]
-let libm_binary_f = [ "powf"; "atan2f" ]
-let libm_binary_d = [ "pow"; "atan2"; "fmod" ]
-
-(* Precomputed classification of the modeled libm entry points: the post
-   handler's fallthrough case runs for every otherwise-unhandled host call,
-   so it must not scan string lists. *)
-type libm_kind = Lm_unary_f | Lm_binary_f | Lm_binary_d | Lm_unary_d
-
-let libm_kind =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun n -> Hashtbl.replace tbl n Lm_unary_f) libm_unary_f;
-  List.iter (fun n -> Hashtbl.replace tbl n Lm_binary_f) libm_binary_f;
-  List.iter (fun n -> Hashtbl.replace tbl n Lm_binary_d) libm_binary_d;
-  List.iter
-    (fun n -> if not (Hashtbl.mem tbl n) then Hashtbl.replace tbl n Lm_unary_d)
-    A.Syscalls.modeled_libm;
-  fun name -> Hashtbl.find_opt tbl name
 
 (* Host functions whose post handler reads pre-call argument registers; only
    these pay the register snapshot on entry. *)
@@ -237,10 +226,21 @@ let needs_pre_regs =
       "sscanf"; "fread"; "fgets"; "getc"; "read"; "strtod" ];
   fun name -> Hashtbl.mem tbl name
 
+(* A libm function's result taint is the union of its argument registers'
+   taints: one per single-precision argument, a pair per double, with a
+   double result in r0:r1. *)
+let on_math t ~arity ~single =
+  note t;
+  let tag = ref Taint.clear in
+  for i = 0 to (if single then arity else 2 * arity) - 1 do
+    tag := Taint.union !tag (Taint_engine.reg t.engine i)
+  done;
+  Taint_engine.set_reg t.engine 0 !tag;
+  if not single then Taint_engine.set_reg t.engine 1 !tag
+
 let on_post t name cpu mem pre_regs =
   let r i = Cpu.reg cpu i in
   let pre i = match pre_regs with Some a -> a.(i) | None -> r i in
-  let rt_pre i = Taint_engine.reg t.engine i in
   let mt addr n = Taint_engine.mem t.engine addr n in
   match name with
   | "strlen" | "atoi" | "atol" | "strtoul" | "strtol" ->
@@ -341,28 +341,7 @@ let on_post t name cpu mem pre_regs =
     let tag = mt (pre 0) (cstr_len mem (pre 0)) in
     Taint_engine.set_reg t.engine 0 tag;
     Taint_engine.set_reg t.engine 1 tag
-  | _ -> (
-    match libm_kind name with
-    | None -> ()
-    | Some kind ->
-      note t;
-      (match kind with
-       | Lm_unary_f -> Taint_engine.set_reg t.engine 0 (rt_pre 0)
-       | Lm_binary_f ->
-         Taint_engine.set_reg t.engine 0 (Taint.union (rt_pre 0) (rt_pre 1))
-       | Lm_binary_d ->
-         (* double based: result in r0:r1 *)
-         let tag =
-           Taint.union
-             (Taint.union (rt_pre 0) (rt_pre 1))
-             (Taint.union (rt_pre 2) (rt_pre 3))
-         in
-         Taint_engine.set_reg t.engine 0 tag;
-         Taint_engine.set_reg t.engine 1 tag
-       | Lm_unary_d ->
-         let tag = Taint.union (rt_pre 0) (rt_pre 1) in
-         Taint_engine.set_reg t.engine 0 tag;
-         Taint_engine.set_reg t.engine 1 tag))
+  | _ -> ()
 
 let attach device engine log =
   let machine = Device.machine device in
@@ -375,27 +354,39 @@ let attach device engine log =
       summaries = 0;
       sink_checks = 0 }
   in
+  let syslib_row (hf : Machine.host_fn) =
+    match Device.host_row hf.Machine.hf_addr with
+    | Some ({ J.lib = J.Libc | J.Libm; _ } as row) -> Some row
+    | Some _ | None -> None
+  in
   Machine.add_listener machine (fun ev ->
       match ev with
-      | Machine.Ev_host_pre hf
-        when hf.Machine.hf_lib = "libc.so" || hf.Machine.hf_lib = "libm.so" ->
-        let cpu = Machine.cpu machine and mem = Machine.mem machine in
-        if needs_pre_regs hf.Machine.hf_name then
-          t.pre_regs <-
-            (hf.Machine.hf_name, Array.copy cpu.Cpu.regs) :: t.pre_regs;
-        on_pre t hf.Machine.hf_name cpu mem
-      | Machine.Ev_host_post hf
-        when hf.Machine.hf_lib = "libc.so" || hf.Machine.hf_lib = "libm.so" ->
-        let cpu = Machine.cpu machine and mem = Machine.mem machine in
-        let pre =
-          match t.pre_regs with
-          | (n, regs) :: rest when n = hf.Machine.hf_name ->
-            t.pre_regs <- rest;
-            Some regs
-          | _ -> None
-        in
-        on_post t hf.Machine.hf_name cpu mem pre
-      | Machine.Ev_host_pre _ | Machine.Ev_host_post _ | Machine.Ev_branch _
-      | Machine.Ev_svc _ ->
-        ());
+      | Machine.Ev_host_pre hf -> (
+        match syslib_row hf with
+        | Some row -> (
+          let cpu = Machine.cpu machine and mem = Machine.mem machine in
+          let name = row.J.name in
+          if needs_pre_regs name then
+            t.pre_regs <- (name, Array.copy cpu.Cpu.regs) :: t.pre_regs;
+          match row.J.effect with
+          | J.Sink sink -> on_sink t ~sink name cpu mem
+          | _ -> on_pre t name cpu mem)
+        | None -> ())
+      | Machine.Ev_host_post hf -> (
+        match syslib_row hf with
+        | Some row -> (
+          let cpu = Machine.cpu machine and mem = Machine.mem machine in
+          let name = row.J.name in
+          let pre =
+            match t.pre_regs with
+            | (n, regs) :: rest when n = name ->
+              t.pre_regs <- rest;
+              Some regs
+            | _ -> None
+          in
+          match row.J.shape with
+          | J.Math { arity; single } -> on_math t ~arity ~single
+          | _ -> on_post t name cpu mem pre)
+        | None -> ())
+      | Machine.Ev_branch _ | Machine.Ev_svc _ -> ());
   t

@@ -14,6 +14,7 @@ module Indirect_ref = Ndroid_jni.Indirect_ref
 module Arg_pool = Ndroid_jni.Arg_pool
 module Summary = Ndroid_summary.Summary
 module A = Ndroid_android
+module J = Ndroid_jni.Jni_names
 
 type taint_loc = Loc_mem of int * int | Loc_reg of int | Loc_iref of int
 
@@ -509,8 +510,14 @@ let resolve_virtual d jm receiver =
       ->
       jm
 
+(* Where a Call*Method or NewObject variant's Java arguments come from. *)
+let args_style cpu mem : J.style -> _ = function
+  | J.Varargs -> `Varargs
+  | J.Va_list -> `Va_list (arg cpu mem 3)
+  | J.Jvalue_array -> `Jvalue_array (arg cpu mem 3)
+
 (* Shared implementation of every Call<Type>Method{,V,A} entry (Table II). *)
-let run_call_java d variant static_ ret_ty cpu mem =
+let run_call_java d style static_ (ret : J.jtype) cpu mem =
   d.d_vm.Vm.counters.Vm.jni_env_calls <-
     d.d_vm.Vm.counters.Vm.jni_env_calls + 1;
   let mid = arg cpu mem 2 in
@@ -520,13 +527,6 @@ let run_call_java d variant static_ ret_ty cpu mem =
     | None -> raise (Vm.Dvm_error (Printf.sprintf "bad jmethodID 0x%x" mid))
   in
   let params = Classes.shorty_params jm.Classes.m_shorty in
-  let style =
-    match variant with
-    | `Plain -> `Varargs
-    | `V -> `Va_list (arg cpu mem 3)
-    | `A -> `Jvalue_array (arg cpu mem 3)
-  in
-  let first_vararg = 3 in
   let receiver_iref = arg cpu mem 1 in
   Arg_pool.reset d.d_arg_pool;
   if not static_ then begin
@@ -534,7 +534,7 @@ let run_call_java d variant static_ ret_ty cpu mem =
     let this_t = query_taint d (Loc_iref receiver_iref) in
     Arg_pool.push d.d_arg_pool (this_v, this_t)
   end;
-  read_java_args d cpu mem ~style ~first_vararg ~params;
+  read_java_args d cpu mem ~style:(args_style cpu mem style) ~first_vararg:3 ~params;
   let full_args = Arg_pool.emit d.d_arg_pool in
   let jm =
     if static_ then jm
@@ -548,10 +548,10 @@ let run_call_java d variant static_ ret_ty cpu mem =
     | None -> Layout.libdvm_base
   in
   let inner =
-    match variant with
-    | `Plain -> "dvmCallMethod"
-    | `V -> "dvmCallMethodV"
-    | `A -> "dvmCallMethodA"
+    match style with
+    | J.Varargs -> "dvmCallMethod"
+    | J.Va_list -> "dvmCallMethodV"
+    | J.Jvalue_array -> "dvmCallMethodA"
   in
   d.pending_interp <- Some (full_args, jm);
   let o = d.d_obs in
@@ -572,21 +572,22 @@ let run_call_java d variant static_ ret_ty cpu mem =
       ~taint:(Taint.to_bits (snd d.d_vm.Vm.ret));
   (* result (value and taint) is in vm.ret; convert to raw for the caller *)
   let v, _t = d.d_vm.Vm.ret in
-  (match ret_ty with
-   | 'V' -> Cpu.set_reg cpu 0 0
-   | 'L' ->
-     Cpu.set_reg cpu 0 (match v with Dvalue.Null -> 0 | _ -> iref_of_value d v)
-   | 'J' ->
-     let n = Dvalue.as_long v in
-     Cpu.set_reg cpu 0 (Int64.to_int (Int64.logand n 0xFFFFFFFFL));
-     Cpu.set_reg cpu 1 (Int64.to_int (Int64.shift_right_logical n 32))
-   | 'D' ->
-     let bits = Int64.bits_of_float (Dvalue.as_double v) in
-     Cpu.set_reg cpu 0 (Int64.to_int (Int64.logand bits 0xFFFFFFFFL));
-     Cpu.set_reg cpu 1 (Int64.to_int (Int64.shift_right_logical bits 32))
-   | 'F' ->
-     Cpu.set_reg cpu 0 (Int32.to_int (Int32.bits_of_float (Dvalue.as_float v)) land mask32)
-   | _ -> Cpu.set_reg cpu 0 (Int32.to_int (Dvalue.as_int v) land mask32))
+  match ret with
+  | J.Void -> Cpu.set_reg cpu 0 0
+  | J.Object ->
+    Cpu.set_reg cpu 0 (match v with Dvalue.Null -> 0 | _ -> iref_of_value d v)
+  | J.Long ->
+    let n = Dvalue.as_long v in
+    Cpu.set_reg cpu 0 (Int64.to_int (Int64.logand n 0xFFFFFFFFL));
+    Cpu.set_reg cpu 1 (Int64.to_int (Int64.shift_right_logical n 32))
+  | J.Double ->
+    let bits = Int64.bits_of_float (Dvalue.as_double v) in
+    Cpu.set_reg cpu 0 (Int64.to_int (Int64.logand bits 0xFFFFFFFFL));
+    Cpu.set_reg cpu 1 (Int64.to_int (Int64.shift_right_logical bits 32))
+  | J.Float ->
+    Cpu.set_reg cpu 0 (Int32.to_int (Int32.bits_of_float (Dvalue.as_float v)) land mask32)
+  | J.Boolean | J.Byte | J.Char | J.Short | J.Int ->
+    Cpu.set_reg cpu 0 (Int32.to_int (Dvalue.as_int v) land mask32)
 
 (* dvmCallMethod* body: emits the dvmDecodeIndirectRef scans, then enters
    the interpreter. *)
@@ -610,394 +611,128 @@ let run_dvm_call_method name d cpu mem =
     "dvmInterpret";
   ignore cpu
 
-(* ---------------- JNI env installation ---------------- *)
+(* ---------------- JNI env: a handler per catalogue row ---------------- *)
 
-let jni_types = [ 'V'; 'L'; 'Z'; 'B'; 'C'; 'S'; 'I'; 'J'; 'F'; 'D' ]
+(* A NOF delegates to its MAF (Table III), then hands native code an
+   indirect reference to the object the MAF allocated. *)
+let alloc_iref d ~self ~maf what cpu =
+  Machine.call_host d.d_machine ~from_:self maf;
+  match Heap.find_by_addr d.d_vm.Vm.heap (Cpu.reg cpu 0) with
+  | Some o -> Cpu.set_reg cpu 0 (Indirect_ref.add d.d_irefs ~obj_id:o.Heap.id)
+  | None -> raise (Vm.Dvm_error (what ^ ": allocation lost"))
 
-let type_name = function
-  | 'V' -> "Void"
-  | 'L' -> "Object"
-  | 'Z' -> "Boolean"
-  | 'B' -> "Byte"
-  | 'C' -> "Char"
-  | 'S' -> "Short"
-  | 'I' -> "Int"
-  | 'J' -> "Long"
-  | 'F' -> "Float"
-  | 'D' -> "Double"
-  | _ -> assert false
+let get_method_id d cpu mem =
+  let h = arg cpu mem 1 in
+  let name = cstring d (arg cpu mem 2) in
+  match class_of_handle d h with
+  | Some cls ->
+    let m = Vm.find_method d.d_vm cls name in
+    Cpu.set_reg cpu 0 (method_handle d m)
+  | None -> raise (Vm.Dvm_error (Printf.sprintf "bad jclass 0x%x" h))
 
-(* libdvm's functions in mount order (their order fixes their addresses),
-   each a handler of the device it runs on *)
-let jni_functions =
-  let fns = ref [] in
-  let mount name run = fns := (name, run) :: !fns in
-  (* --- internals (MAF column of Table III + bridge machinery) --- *)
-  mount "dvmCallJNIMethod" run_call_bridge;
-  mount "dvmInterpret" run_dvm_interpret;
-  mount "dvmCallMethod" (run_dvm_call_method "dvmCallMethod");
-  mount "dvmCallMethodV" (run_dvm_call_method "dvmCallMethodV");
-  mount "dvmCallMethodA" (run_dvm_call_method "dvmCallMethodA");
-  mount "dvmDecodeIndirectRef" (fun _d _cpu _mem -> ());
-  mount "dvmCreateStringFromCstr" (fun d cpu mem ->
-      (* r1 = char* ; returns the real object address in r0 (Fig. 6) *)
-      let s = Memory.read_cstring mem (arg cpu mem 1) in
-      let o = Heap.alloc_string d.d_vm.Vm.heap s in
-      Cpu.set_reg cpu 0 o.Heap.addr);
-  mount "dvmCreateStringFromUnicode" (fun d cpu mem ->
-      let ptr = arg cpu mem 1 and len = arg cpu mem 2 in
-      let b = Buffer.create len in
-      for i = 0 to len - 1 do
-        Buffer.add_char b (Char.chr (Memory.read_u16 mem (ptr + (2 * i)) land 0xFF))
-      done;
-      let o = Heap.alloc_string d.d_vm.Vm.heap (Buffer.contents b) in
-      Cpu.set_reg cpu 0 o.Heap.addr);
-  mount "dvmAllocObject" (fun d cpu _mem ->
-      let h = Cpu.reg cpu 1 in
-      match class_of_handle d h with
-      | Some cls ->
-        let o = Heap.alloc_instance d.d_vm.Vm.heap cls (Vm.instance_size d.d_vm cls) in
-        Cpu.set_reg cpu 0 o.Heap.addr
-      | None -> raise (Vm.Dvm_error (Printf.sprintf "bad jclass 0x%x" h)));
-  mount "dvmAllocPrimitiveArray" (fun d cpu _mem ->
-      let len = Cpu.reg cpu 1 in
-      let o = Heap.alloc_array d.d_vm.Vm.heap "prim" len in
-      Cpu.set_reg cpu 0 o.Heap.addr);
-  mount "dvmAllocArrayByClass" (fun d cpu _mem ->
-      let len = Cpu.reg cpu 2 in
-      let o = Heap.alloc_array d.d_vm.Vm.heap "Ljava/lang/Object;" len in
-      Cpu.set_reg cpu 0 o.Heap.addr);
-  mount "initException" (fun d cpu mem ->
-      (* r1 = class handle, r2 = message char* *)
-      let cls =
-        match class_of_handle d (arg cpu mem 1) with
-        | Some c -> c
-        | None -> "Ljava/lang/Exception;"
-      in
-      let self = Machine.host_fn_addr d.d_machine "initException" in
-      (* create the message string through the normal allocation path *)
-      Cpu.set_reg cpu 1 (arg cpu mem 2);
-      Machine.call_host d.d_machine ~from_:self "dvmCreateStringFromCstr";
-      let str_addr = Cpu.reg cpu 0 in
-      let msg_obj =
-        match Heap.find_by_addr d.d_vm.Vm.heap str_addr with
-        | Some o -> o
-        | None -> raise (Vm.Dvm_error "initException: lost message string")
-      in
-      let exn_obj =
-        Heap.alloc_instance d.d_vm.Vm.heap cls
-          (max 1 (try Vm.instance_size d.d_vm cls with Vm.Dvm_error _ -> 1))
-      in
-      (match exn_obj.Heap.kind with
-       | Heap.Instance { values; taints; _ } ->
-         values.(0) <- Dvalue.Obj msg_obj.Heap.id;
-         taints.(0) <- msg_obj.Heap.taint
-       | Heap.String _ | Heap.Array _ -> ());
-      Cpu.set_reg cpu 0 exn_obj.Heap.addr);
+let get_field_id static d cpu mem =
+  let h = arg cpu mem 1 in
+  let name = cstring d (arg cpu mem 2) in
+  match class_of_handle d h with
+  | Some cls -> Cpu.set_reg cpu 0 (field_handle d cls name static)
+  | None -> raise (Vm.Dvm_error (Printf.sprintf "bad jclass 0x%x" h))
 
-  (* --- class / method / field lookup --- *)
-  mount "FindClass" (fun d cpu mem ->
-      let name = cstring d (arg cpu mem 1) in
-      let norm = normalize_class_name name in
-      ignore (Vm.find_class d.d_vm norm);
-      Cpu.set_reg cpu 0 (class_handle d norm));
-  mount "GetObjectClass" (fun d cpu mem ->
-      match value_of_iref d (arg cpu mem 1) with
-      | Dvalue.Obj id ->
-        let cls =
-          match (Heap.get d.d_vm.Vm.heap id).Heap.kind with
-          | Heap.Instance { cls; _ } -> cls
-          | Heap.String _ -> "Ljava/lang/String;"
-          | Heap.Array _ -> "Ljava/lang/Object;"
-        in
-        Cpu.set_reg cpu 0 (class_handle d cls)
-      | _ -> Cpu.set_reg cpu 0 0);
-  let get_method_id d cpu mem =
-    let h = arg cpu mem 1 in
-    let name = cstring d (arg cpu mem 2) in
-    match class_of_handle d h with
-    | Some cls ->
-      let m = Vm.find_method d.d_vm cls name in
-      Cpu.set_reg cpu 0 (method_handle d m)
-    | None -> raise (Vm.Dvm_error (Printf.sprintf "bad jclass 0x%x" h))
+let new_object style d cpu mem =
+  let self =
+    match Machine.find_host_fn d.d_machine (Cpu.pc cpu) with
+    | Some hf -> hf.Machine.hf_addr
+    | None -> Layout.libdvm_base
   in
-  mount "GetMethodID" get_method_id;
-  mount "GetStaticMethodID" get_method_id;
-  let get_field_id static d cpu mem =
-    let h = arg cpu mem 1 in
-    let name = cstring d (arg cpu mem 2) in
-    match class_of_handle d h with
-    | Some cls -> Cpu.set_reg cpu 0 (field_handle d cls name static)
-    | None -> raise (Vm.Dvm_error (Printf.sprintf "bad jclass 0x%x" h))
+  Machine.call_host d.d_machine ~from_:self "dvmAllocObject";
+  let addr = Cpu.reg cpu 0 in
+  let o =
+    match Heap.find_by_addr d.d_vm.Vm.heap addr with
+    | Some o -> o
+    | None -> raise (Vm.Dvm_error "NewObject: allocation lost")
   in
-  mount "GetFieldID" (get_field_id false);
-  mount "GetStaticFieldID" (get_field_id true);
+  let iref = Indirect_ref.add d.d_irefs ~obj_id:o.Heap.id in
+  (* run the constructor with the fresh object as receiver *)
+  let mid = arg cpu mem 2 in
+  (match Hashtbl.find_opt d.method_handles mid with
+   | Some ctor ->
+     let params = Classes.shorty_params ctor.Classes.m_shorty in
+     Arg_pool.reset d.d_arg_pool;
+     Arg_pool.push d.d_arg_pool (Dvalue.Obj o.Heap.id, Taint.clear);
+     read_java_args d cpu mem ~style:(args_style cpu mem style) ~first_vararg:3
+       ~params;
+     let full = Arg_pool.emit d.d_arg_pool in
+     d.pending_interp <- Some (full, ctor);
+     Machine.call_host d.d_machine ~from_:self "dvmInterpret"
+   | None -> ());
+  Cpu.set_reg cpu 0 iref
 
-  (* --- Table II: the 90 Call<Type>Method{,V,A} wrappers --- *)
-  List.iter
-    (fun ty ->
-      let tn = type_name ty in
-      let families =
-        [ ("Call" ^ tn ^ "Method", `Plain, false);
-          ("CallNonvirtual" ^ tn ^ "Method", `Plain, false);
-          ("CallStatic" ^ tn ^ "Method", `Plain, true);
-          ("Call" ^ tn ^ "MethodV", `V, false);
-          ("CallNonvirtual" ^ tn ^ "MethodV", `V, false);
-          ("CallStatic" ^ tn ^ "MethodV", `V, true);
-          ("Call" ^ tn ^ "MethodA", `A, false);
-          ("CallNonvirtual" ^ tn ^ "MethodA", `A, false);
-          ("CallStatic" ^ tn ^ "MethodA", `A, true) ]
-      in
-      List.iter
-        (fun (name, variant, static_) ->
-          mount name (fun d cpu mem -> run_call_java d variant static_ ty cpu mem))
-        families)
-    jni_types;
+let string_length d cpu mem =
+  match string_obj d (arg cpu mem 1) with
+  | Some (_, s) -> Cpu.set_reg cpu 0 (String.length s)
+  | None -> Cpu.set_reg cpu 0 0
 
-  (* --- object creation (NOF column of Table III) --- *)
-  let new_object style d cpu mem =
-    let self = Cpu.pc cpu in
-    let self =
-      match Machine.find_host_fn d.d_machine self with
-      | Some hf -> hf.Machine.hf_addr
-      | None -> Layout.libdvm_base
-    in
-    Machine.call_host d.d_machine ~from_:self "dvmAllocObject";
-    let addr = Cpu.reg cpu 0 in
-    let o =
-      match Heap.find_by_addr d.d_vm.Vm.heap addr with
-      | Some o -> o
-      | None -> raise (Vm.Dvm_error "NewObject: allocation lost")
-    in
-    let iref = Indirect_ref.add d.d_irefs ~obj_id:o.Heap.id in
-    (* run the constructor with the fresh object as receiver *)
-    let mid = arg cpu mem 2 in
-    (match Hashtbl.find_opt d.method_handles mid with
-     | Some ctor ->
-       let params = Classes.shorty_params ctor.Classes.m_shorty in
-       let style_v =
-         match style with
-         | `Plain -> `Varargs
-         | `V -> `Va_list (arg cpu mem 3)
-         | `A -> `Jvalue_array (arg cpu mem 3)
-       in
-       Arg_pool.reset d.d_arg_pool;
-       Arg_pool.push d.d_arg_pool (Dvalue.Obj o.Heap.id, Taint.clear);
-       read_java_args d cpu mem ~style:style_v ~first_vararg:3 ~params;
-       let full = Arg_pool.emit d.d_arg_pool in
-       d.pending_interp <- Some (full, ctor);
-       Machine.call_host d.d_machine ~from_:self "dvmInterpret"
-     | None -> ());
-    Cpu.set_reg cpu 0 iref
-  in
-  mount "NewObject" (new_object `Plain);
-  mount "NewObjectV" (new_object `V);
-  mount "NewObjectA" (new_object `A);
-  mount "NewStringUTF" (fun d cpu mem ->
-      ignore mem;
-      let self = Machine.host_fn_addr d.d_machine "NewStringUTF" in
-      (* r1 already holds the char*; delegate to the MAF *)
-      Machine.call_host d.d_machine ~from_:self "dvmCreateStringFromCstr";
-      let addr = Cpu.reg cpu 0 in
-      match Heap.find_by_addr d.d_vm.Vm.heap addr with
-      | Some o -> Cpu.set_reg cpu 0 (Indirect_ref.add d.d_irefs ~obj_id:o.Heap.id)
-      | None -> raise (Vm.Dvm_error "NewStringUTF: allocation lost"));
-  mount "NewString" (fun d cpu mem ->
-      ignore mem;
-      let self = Machine.host_fn_addr d.d_machine "NewString" in
-      Machine.call_host d.d_machine ~from_:self "dvmCreateStringFromUnicode";
-      let addr = Cpu.reg cpu 0 in
-      match Heap.find_by_addr d.d_vm.Vm.heap addr with
-      | Some o -> Cpu.set_reg cpu 0 (Indirect_ref.add d.d_irefs ~obj_id:o.Heap.id)
-      | None -> raise (Vm.Dvm_error "NewString: allocation lost"));
-  mount "NewObjectArray" (fun d cpu mem ->
-      ignore mem;
-      let self = Machine.host_fn_addr d.d_machine "NewObjectArray" in
-      Machine.call_host d.d_machine ~from_:self "dvmAllocArrayByClass";
-      let addr = Cpu.reg cpu 0 in
-      match Heap.find_by_addr d.d_vm.Vm.heap addr with
-      | Some o -> Cpu.set_reg cpu 0 (Indirect_ref.add d.d_irefs ~obj_id:o.Heap.id)
-      | None -> raise (Vm.Dvm_error "NewObjectArray: allocation lost"));
-  List.iter
-    (fun ty ->
-      let name = "New" ^ type_name ty ^ "Array" in
-      mount name
-        (fun d cpu mem ->
-          ignore mem;
-          let self = Machine.host_fn_addr d.d_machine name in
-          Machine.call_host d.d_machine ~from_:self "dvmAllocPrimitiveArray";
-          let addr = Cpu.reg cpu 0 in
-          match Heap.find_by_addr d.d_vm.Vm.heap addr with
-          | Some o -> Cpu.set_reg cpu 0 (Indirect_ref.add d.d_irefs ~obj_id:o.Heap.id)
-          | None -> raise (Vm.Dvm_error "NewArray: allocation lost")))
-    [ 'Z'; 'B'; 'C'; 'S'; 'I'; 'J'; 'F'; 'D' ];
+let release_chars d cpu mem =
+  A.Native_heap.free d.d_nheap (arg cpu mem 2);
+  ignore cpu
 
-  (* --- strings --- *)
-  mount "GetStringUTFChars" (fun d cpu mem ->
-      match string_obj d (arg cpu mem 1) with
-      | Some (_id, s) ->
-        let buf = A.Native_heap.malloc d.d_nheap (String.length s + 1) in
-        Memory.write_cstring mem buf s;
-        let is_copy = arg cpu mem 2 in
-        if is_copy <> 0 then Memory.write_u8 mem is_copy 1;
-        Cpu.set_reg cpu 0 buf
-      | None -> Cpu.set_reg cpu 0 0);
-  mount "ReleaseStringUTFChars" (fun d cpu mem ->
-      A.Native_heap.free d.d_nheap (arg cpu mem 2);
-      ignore cpu);
-  mount "GetStringUTFLength" (fun d cpu mem ->
-      match string_obj d (arg cpu mem 1) with
-      | Some (_, s) -> Cpu.set_reg cpu 0 (String.length s)
-      | None -> Cpu.set_reg cpu 0 0);
-  mount "GetStringLength" (fun d cpu mem ->
-      match string_obj d (arg cpu mem 1) with
-      | Some (_, s) -> Cpu.set_reg cpu 0 (String.length s)
-      | None -> Cpu.set_reg cpu 0 0);
-  mount "GetStringChars" (fun d cpu mem ->
-      match string_obj d (arg cpu mem 1) with
-      | Some (_, s) ->
-        let buf = A.Native_heap.malloc d.d_nheap ((String.length s + 1) * 2) in
-        String.iteri
-          (fun i c -> Memory.write_u16 mem (buf + (2 * i)) (Char.code c))
-          s;
-        Memory.write_u16 mem (buf + (2 * String.length s)) 0;
-        Cpu.set_reg cpu 0 buf
-      | None -> Cpu.set_reg cpu 0 0);
-  mount "ReleaseStringChars" (fun d cpu mem ->
-      A.Native_heap.free d.d_nheap (arg cpu mem 2);
-      ignore cpu);
+let array_of_iref d iref =
+  match value_of_iref d iref with
+  | Dvalue.Obj id -> (
+    match (Heap.get d.d_vm.Vm.heap id).Heap.kind with
+    | Heap.Array { elems; _ } -> Some (id, elems)
+    | Heap.String _ | Heap.Instance _ -> None)
+  | _ -> None
 
-  (* --- arrays --- *)
-  let array_of_iref d iref =
-    match value_of_iref d iref with
-    | Dvalue.Obj id -> (
-      match (Heap.get d.d_vm.Vm.heap id).Heap.kind with
-      | Heap.Array { elems; _ } -> Some (id, elems)
-      | Heap.String _ | Heap.Instance _ -> None)
-    | _ -> None
-  in
-  mount "GetArrayLength" (fun d cpu mem ->
-      match array_of_iref d (arg cpu mem 1) with
-      | Some (_, elems) -> Cpu.set_reg cpu 0 (Array.length elems)
-      | None -> Cpu.set_reg cpu 0 0);
-  mount "GetObjectArrayElement" (fun d cpu mem ->
-      match array_of_iref d (arg cpu mem 1) with
-      | Some (_, elems) ->
-        let idx = arg cpu mem 2 in
-        if idx >= 0 && idx < Array.length elems then
-          Cpu.set_reg cpu 0
-            (match elems.(idx) with
-             | Dvalue.Obj _ as v -> iref_of_value d v
-             | _ -> 0)
-        else Cpu.set_reg cpu 0 0
-      | None -> Cpu.set_reg cpu 0 0);
-  mount "SetObjectArrayElement" (fun d cpu mem ->
-      match array_of_iref d (arg cpu mem 1) with
-      | Some (_, elems) ->
-        let idx = arg cpu mem 2 in
-        if idx >= 0 && idx < Array.length elems then
-          elems.(idx) <- value_of_iref d (arg cpu mem 3)
-      | None -> ());
-  List.iter
-    (fun ty ->
-      let tn = type_name ty in
-      let width = match ty with 'J' | 'D' -> 8 | _ -> 4 in
-      mount
-        ("Get" ^ tn ^ "ArrayElements")
-        (fun d cpu mem ->
-          match array_of_iref d (arg cpu mem 1) with
-          | Some (_, elems) ->
-            let buf = A.Native_heap.malloc d.d_nheap (Array.length elems * width) in
-            Array.iteri
-              (fun i v ->
-                Memory.write_u32 mem
-                  (buf + (i * width))
-                  (Int32.to_int (Dvalue.as_int v) land mask32))
-              elems;
-            Cpu.set_reg cpu 0 buf
-          | None -> Cpu.set_reg cpu 0 0);
-      mount
-        ("Release" ^ tn ^ "ArrayElements")
-        (fun d cpu mem ->
-          let mode = arg cpu mem 3 in
-          (match array_of_iref d (arg cpu mem 1) with
-           | Some (_, elems) when mode <> 2 (* JNI_ABORT *) ->
-             let buf = arg cpu mem 2 in
-             Array.iteri
-               (fun i _ ->
-                 elems.(i) <-
-                   Dvalue.Int (Int32.of_int (Memory.read_u32 mem (buf + (i * width)))))
-               elems
-           | Some _ | None -> ());
-          A.Native_heap.free d.d_nheap (arg cpu mem 2)))
-    [ 'Z'; 'B'; 'C'; 'S'; 'I'; 'J'; 'F'; 'D' ];
+let get_array_elements width d cpu mem =
+  match array_of_iref d (arg cpu mem 1) with
+  | Some (_, elems) ->
+    let buf = A.Native_heap.malloc d.d_nheap (Array.length elems * width) in
+    Array.iteri
+      (fun i v ->
+        Memory.write_u32 mem (buf + (i * width)) (Int32.to_int (Dvalue.as_int v) land mask32))
+      elems;
+    Cpu.set_reg cpu 0 buf
+  | None -> Cpu.set_reg cpu 0 0
 
-  (* --- array/string regions --- *)
-  List.iter
-    (fun ty ->
-      let tn = type_name ty in
-      let width = match ty with 'J' | 'D' -> 8 | _ -> 4 in
-      mount
-        ("Get" ^ tn ^ "ArrayRegion")
-        (fun d cpu mem ->
-          match array_of_iref d (arg cpu mem 1) with
-          | Some (_, elems) ->
-            let start = arg cpu mem 2
-            and len = arg cpu mem 3
-            and buf = arg cpu mem 4 in
-            for i = 0 to len - 1 do
-              if start + i >= 0 && start + i < Array.length elems then
-                Memory.write_u32 mem
-                  (buf + (i * width))
-                  (Int32.to_int (Dvalue.as_int elems.(start + i)) land mask32)
-            done
-          | None -> ());
-      mount
-        ("Set" ^ tn ^ "ArrayRegion")
-        (fun d cpu mem ->
-          match array_of_iref d (arg cpu mem 1) with
-          | Some (_, elems) ->
-            let start = arg cpu mem 2
-            and len = arg cpu mem 3
-            and buf = arg cpu mem 4 in
-            for i = 0 to len - 1 do
-              if start + i >= 0 && start + i < Array.length elems then
-                elems.(start + i) <-
-                  Dvalue.Int (Int32.of_int (Memory.read_u32 mem (buf + (i * width))))
-            done
-          | None -> ()))
-    [ 'Z'; 'B'; 'C'; 'S'; 'I'; 'J'; 'F'; 'D' ];
-  mount "GetStringUTFRegion" (fun d cpu mem ->
-      match string_obj d (arg cpu mem 1) with
-      | Some (_, s) ->
-        let start = arg cpu mem 2 and len = arg cpu mem 3 and buf = arg cpu mem 4 in
-        let start = max 0 start in
-        let len = min len (String.length s - start) in
-        if len > 0 then Memory.write_string mem buf (String.sub s start len);
-        Memory.write_u8 mem (buf + max 0 len) 0
-      | None -> ());
-  mount "GetStringRegion" (fun d cpu mem ->
-      match string_obj d (arg cpu mem 1) with
-      | Some (_, s) ->
-        let start = arg cpu mem 2 and len = arg cpu mem 3 and buf = arg cpu mem 4 in
-        for i = 0 to len - 1 do
-          if start + i < String.length s then
-            Memory.write_u16 mem (buf + (2 * i)) (Char.code s.[start + i])
-        done
-      | None -> ());
+let release_array_elements width d cpu mem =
+  let mode = arg cpu mem 3 in
+  (match array_of_iref d (arg cpu mem 1) with
+   | Some (_, elems) when mode <> 2 (* JNI_ABORT *) ->
+     let buf = arg cpu mem 2 in
+     Array.iteri
+       (fun i _ ->
+         elems.(i) <- Dvalue.Int (Int32.of_int (Memory.read_u32 mem (buf + (i * width)))))
+       elems
+   | Some _ | None -> ());
+  A.Native_heap.free d.d_nheap (arg cpu mem 2)
 
-  (* --- Table IV: field access --- *)
-  let find_field d cpu mem =
-    let fid = arg cpu mem 2 in
-    match Hashtbl.find_opt d.field_handles fid with
-    | Some f -> f
-    | None -> raise (Vm.Dvm_error (Printf.sprintf "bad jfieldID 0x%x" fid))
-  in
-  let get_field d cpu mem =
-    let cls, fld, static = find_field d cpu mem in
-    if static then
-      let cell = Vm.static_ref d.d_vm cls fld in
-      fst !cell
+let array_region ~set width d cpu mem =
+  match array_of_iref d (arg cpu mem 1) with
+  | Some (_, elems) ->
+    let start = arg cpu mem 2 and len = arg cpu mem 3 and buf = arg cpu mem 4 in
+    for i = 0 to len - 1 do
+      if start + i >= 0 && start + i < Array.length elems then begin
+        if set then
+          elems.(start + i) <-
+            Dvalue.Int (Int32.of_int (Memory.read_u32 mem (buf + (i * width))))
+        else
+          Memory.write_u32 mem (buf + (i * width))
+            (Int32.to_int (Dvalue.as_int elems.(start + i)) land mask32)
+      end
+    done
+  | None -> ()
+
+(* Table IV: the field handle records whether the field is static *)
+let find_field d cpu mem =
+  let fid = arg cpu mem 2 in
+  match Hashtbl.find_opt d.field_handles fid with
+  | Some f -> f
+  | None -> raise (Vm.Dvm_error (Printf.sprintf "bad jfieldID 0x%x" fid))
+
+let get_field (ty : J.jtype) d cpu mem =
+  let cls, fld, static = find_field d cpu mem in
+  let v =
+    if static then fst !(Vm.static_ref d.d_vm cls fld)
     else
       match value_of_iref d (arg cpu mem 1) with
       | Dvalue.Obj id -> (
@@ -1007,116 +742,285 @@ let jni_functions =
         | Heap.String _ | Heap.Array _ -> Dvalue.zero)
       | _ -> Dvalue.zero
   in
-  let set_field d cpu mem value =
-    let cls, fld, static = find_field d cpu mem in
-    if static then begin
-      let cell = Vm.static_ref d.d_vm cls fld in
-      cell := (value, snd !cell)
-    end
-    else
-      match value_of_iref d (arg cpu mem 1) with
-      | Dvalue.Obj id -> (
-        match (Heap.get d.d_vm.Vm.heap id).Heap.kind with
-        | Heap.Instance { cls = real_cls; values; _ } ->
-          values.(Vm.field_index d.d_vm real_cls fld) <- value
-        | Heap.String _ | Heap.Array _ -> ())
-      | _ -> ()
+  match ty with
+  | J.Object -> Cpu.set_reg cpu 0 (match v with Dvalue.Null -> 0 | _ -> iref_of_value d v)
+  | _ -> Cpu.set_reg cpu 0 (Int32.to_int (Dvalue.as_int v) land mask32)
+
+let set_field (ty : J.jtype) d cpu mem =
+  let raw = arg cpu mem 3 in
+  let value =
+    match ty with J.Object -> value_of_iref d raw | _ -> Dvalue.Int (Int32.of_int raw)
   in
-  List.iter
-    (fun (prefix, _static) ->
-      List.iter
-        (fun ty ->
-          let tn = type_name ty in
-          mount
-            ("Get" ^ prefix ^ tn ^ "Field")
-            (fun d cpu mem ->
-              let v = get_field d cpu mem in
-              match ty with
-              | 'L' ->
-                Cpu.set_reg cpu 0
-                  (match v with Dvalue.Null -> 0 | _ -> iref_of_value d v)
-              | _ -> Cpu.set_reg cpu 0 (Int32.to_int (Dvalue.as_int v) land mask32));
-          mount
-            ("Set" ^ prefix ^ tn ^ "Field")
-            (fun d cpu mem ->
-              let raw = arg cpu mem 3 in
-              let v =
-                match ty with
-                | 'L' -> value_of_iref d raw
-                | _ -> Dvalue.Int (Int32.of_int raw)
-              in
-              set_field d cpu mem v))
-        [ 'L'; 'Z'; 'B'; 'C'; 'S'; 'I'; 'J'; 'F'; 'D' ])
-    [ ("", false); ("Static", true) ];
+  let cls, fld, static = find_field d cpu mem in
+  if static then begin
+    let cell = Vm.static_ref d.d_vm cls fld in
+    cell := (value, snd !cell)
+  end
+  else
+    match value_of_iref d (arg cpu mem 1) with
+    | Dvalue.Obj id -> (
+      match (Heap.get d.d_vm.Vm.heap id).Heap.kind with
+      | Heap.Instance { cls = real_cls; values; _ } ->
+        values.(Vm.field_index d.d_vm real_cls fld) <- value
+      | Heap.String _ | Heap.Array _ -> ())
+    | _ -> ()
 
-  (* --- exceptions --- *)
-  mount "ThrowNew" (fun d cpu mem ->
-      let self = Machine.host_fn_addr d.d_machine "ThrowNew" in
-      (* initException reads r1 = jclass, r2 = message char* — already set *)
-      let msg_addr = arg cpu mem 2 in
-      Machine.call_host d.d_machine ~from_:self "initException";
-      let exn_addr = Cpu.reg cpu 0 in
-      (match Heap.find_by_addr d.d_vm.Vm.heap exn_addr with
-       | Some o ->
-         let taint =
-           query_taint d (Loc_mem (msg_addr, String.length (cstring d msg_addr) + 1))
-         in
-         o.Heap.taint <- Taint.union o.Heap.taint taint;
-         (* propagate onto the message string object too *)
-         (match o.Heap.kind with
-          | Heap.Instance { values; taints; _ } ->
-            (match values.(0) with
-             | Dvalue.Obj sid ->
-               (Heap.get d.d_vm.Vm.heap sid).Heap.taint <- taint
-             | _ -> ());
-            taints.(0) <- Taint.union taints.(0) taint
-          | Heap.String _ | Heap.Array _ -> ());
-         d.pending_throw <- Some (Dvalue.Obj o.Heap.id, taint)
-       | None -> ());
-      Cpu.set_reg cpu 0 0);
-  mount "Throw" (fun d cpu mem ->
-      let iref = arg cpu mem 1 in
-      let v = value_of_iref d iref in
-      d.pending_throw <- Some (v, query_taint d (Loc_iref iref));
-      Cpu.set_reg cpu 0 0);
-  mount "ExceptionOccurred" (fun d cpu _mem ->
-      match d.pending_throw with
-      | Some (v, _) ->
-        Cpu.set_reg cpu 0 (match v with Dvalue.Null -> 0 | _ -> iref_of_value d v)
-      | None -> Cpu.set_reg cpu 0 0);
-  mount "ExceptionClear" (fun d _cpu _mem -> d.pending_throw <- None);
+let throw_new d cpu mem =
+  let self = Machine.host_fn_addr d.d_machine "ThrowNew" in
+  (* initException reads r1 = jclass, r2 = message char* — already set *)
+  let msg_addr = arg cpu mem 2 in
+  Machine.call_host d.d_machine ~from_:self "initException";
+  let exn_addr = Cpu.reg cpu 0 in
+  (match Heap.find_by_addr d.d_vm.Vm.heap exn_addr with
+   | Some o ->
+     let taint =
+       query_taint d (Loc_mem (msg_addr, String.length (cstring d msg_addr) + 1))
+     in
+     o.Heap.taint <- Taint.union o.Heap.taint taint;
+     (* propagate onto the message string object too *)
+     (match o.Heap.kind with
+      | Heap.Instance { values; taints; _ } ->
+        (match values.(0) with
+         | Dvalue.Obj sid -> (Heap.get d.d_vm.Vm.heap sid).Heap.taint <- taint
+         | _ -> ());
+        taints.(0) <- Taint.union taints.(0) taint
+      | Heap.String _ | Heap.Array _ -> ());
+     d.pending_throw <- Some (Dvalue.Obj o.Heap.id, taint)
+   | None -> ());
+  Cpu.set_reg cpu 0 0
 
-  (* --- reference management --- *)
-  mount "RegisterNatives" (fun d cpu mem ->
-      (* (env, jclass, JNINativeMethod* {name, sig, fnPtr} x n, n) *)
-      match class_of_handle d (arg cpu mem 1) with
-      | None -> Cpu.set_reg cpu 0 (0xFFFFFFFF (* JNI_ERR *))
-      | Some cls ->
-        let table = arg cpu mem 2 and n = arg cpu mem 3 in
-        for i = 0 to n - 1 do
-          let entry = table + (12 * i) in
-          let name = Memory.read_cstring mem (Memory.read_u32 mem entry) in
-          let fn_ptr = Memory.read_u32 mem (entry + 8) in
-          Hashtbl.replace d.registered_natives (cls, name) fn_ptr
+let init_exception d cpu mem =
+  (* r1 = class handle, r2 = message char* *)
+  let cls =
+    match class_of_handle d (arg cpu mem 1) with
+    | Some c -> c
+    | None -> "Ljava/lang/Exception;"
+  in
+  let self = Machine.host_fn_addr d.d_machine "initException" in
+  (* create the message string through the normal allocation path *)
+  Cpu.set_reg cpu 1 (arg cpu mem 2);
+  Machine.call_host d.d_machine ~from_:self "dvmCreateStringFromCstr";
+  let str_addr = Cpu.reg cpu 0 in
+  let msg_obj =
+    match Heap.find_by_addr d.d_vm.Vm.heap str_addr with
+    | Some o -> o
+    | None -> raise (Vm.Dvm_error "initException: lost message string")
+  in
+  let exn_obj =
+    Heap.alloc_instance d.d_vm.Vm.heap cls
+      (max 1 (try Vm.instance_size d.d_vm cls with Vm.Dvm_error _ -> 1))
+  in
+  (match exn_obj.Heap.kind with
+   | Heap.Instance { values; taints; _ } ->
+     values.(0) <- Dvalue.Obj msg_obj.Heap.id;
+     taints.(0) <- msg_obj.Heap.taint
+   | Heap.String _ | Heap.Array _ -> ());
+  Cpu.set_reg cpu 0 exn_obj.Heap.addr
+
+let register_natives d cpu mem =
+  (* (env, jclass, JNINativeMethod* {name, sig, fnPtr} x n, n) *)
+  match class_of_handle d (arg cpu mem 1) with
+  | None -> Cpu.set_reg cpu 0 (0xFFFFFFFF (* JNI_ERR *))
+  | Some cls ->
+    let table = arg cpu mem 2 and n = arg cpu mem 3 in
+    for i = 0 to n - 1 do
+      let entry = table + (12 * i) in
+      let name = Memory.read_cstring mem (Memory.read_u32 mem entry) in
+      let fn_ptr = Memory.read_u32 mem (entry + 8) in
+      Hashtbl.replace d.registered_natives (cls, name) fn_ptr
+    done;
+    Cpu.set_reg cpu 0 0
+
+(* The handler a libdvm row mounts: by shape for the generated families,
+   by name for the rest. *)
+let jni_handler (r : J.row) : t -> Cpu.t -> Memory.t -> unit =
+  match r.J.shape with
+  | J.Call_method { dispatch; style; ret } ->
+    fun d cpu mem -> run_call_java d style (dispatch = J.Static) ret cpu mem
+  | J.Field { set = false; ty; _ } -> get_field ty
+  | J.Field { set = true; ty; _ } -> set_field ty
+  | J.New_array _ ->
+    fun d cpu _mem ->
+      alloc_iref d ~self:(Machine.host_fn_addr d.d_machine r.J.name)
+        ~maf:"dvmAllocPrimitiveArray" "NewArray" cpu
+  | J.Array_elements { release = false; ty } -> get_array_elements (J.width ty)
+  | J.Array_elements { release = true; ty } -> release_array_elements (J.width ty)
+  | J.Array_region { set; ty } -> array_region ~set (J.width ty)
+  | J.Single | J.Math _ -> (
+    match r.J.name with
+    (* internals: the MAF column of Table III and the bridge machinery *)
+    | "dvmCallJNIMethod" -> run_call_bridge
+    | "dvmInterpret" -> run_dvm_interpret
+    | "dvmCallMethod" | "dvmCallMethodV" | "dvmCallMethodA" -> run_dvm_call_method r.J.name
+    | "dvmDecodeIndirectRef" -> fun _d _cpu _mem -> ()
+    | "dvmCreateStringFromCstr" ->
+      fun d cpu mem ->
+        (* r1 = char* ; returns the real object address in r0 (Fig. 6) *)
+        let s = Memory.read_cstring mem (arg cpu mem 1) in
+        let o = Heap.alloc_string d.d_vm.Vm.heap s in
+        Cpu.set_reg cpu 0 o.Heap.addr
+    | "dvmCreateStringFromUnicode" ->
+      fun d cpu mem ->
+        let ptr = arg cpu mem 1 and len = arg cpu mem 2 in
+        let b = Buffer.create len in
+        for i = 0 to len - 1 do
+          Buffer.add_char b (Char.chr (Memory.read_u16 mem (ptr + (2 * i)) land 0xFF))
         done;
-        Cpu.set_reg cpu 0 0);
-  mount "UnregisterNatives" (fun d cpu mem ->
-      (match class_of_handle d (arg cpu mem 1) with
-       | Some cls ->
-         Hashtbl.iter
-           (fun (c, m) _ -> if c = cls then Hashtbl.remove d.registered_natives (c, m))
-           (Hashtbl.copy d.registered_natives)
-       | None -> ());
-      Cpu.set_reg cpu 0 0);
-  mount "NewGlobalRef" (fun _d cpu mem -> Cpu.set_reg cpu 0 (arg cpu mem 1));
-  mount "NewLocalRef" (fun _d cpu mem -> Cpu.set_reg cpu 0 (arg cpu mem 1));
-  mount "DeleteGlobalRef" (fun d cpu mem ->
-      Indirect_ref.delete d.d_irefs (arg cpu mem 1);
-      ignore cpu);
-  mount "DeleteLocalRef" (fun d cpu mem ->
-      Indirect_ref.delete d.d_irefs (arg cpu mem 1);
-      ignore cpu);
-  List.rev !fns
+        let o = Heap.alloc_string d.d_vm.Vm.heap (Buffer.contents b) in
+        Cpu.set_reg cpu 0 o.Heap.addr
+    | "dvmAllocObject" ->
+      fun d cpu _mem ->
+        let h = Cpu.reg cpu 1 in
+        (match class_of_handle d h with
+         | Some cls ->
+           let o = Heap.alloc_instance d.d_vm.Vm.heap cls (Vm.instance_size d.d_vm cls) in
+           Cpu.set_reg cpu 0 o.Heap.addr
+         | None -> raise (Vm.Dvm_error (Printf.sprintf "bad jclass 0x%x" h)))
+    | "dvmAllocPrimitiveArray" ->
+      fun d cpu _mem ->
+        let o = Heap.alloc_array d.d_vm.Vm.heap "prim" (Cpu.reg cpu 1) in
+        Cpu.set_reg cpu 0 o.Heap.addr
+    | "dvmAllocArrayByClass" ->
+      fun d cpu _mem ->
+        let o = Heap.alloc_array d.d_vm.Vm.heap "Ljava/lang/Object;" (Cpu.reg cpu 2) in
+        Cpu.set_reg cpu 0 o.Heap.addr
+    | "initException" -> init_exception
+    (* class / method / field lookup *)
+    | "FindClass" ->
+      fun d cpu mem ->
+        let norm = normalize_class_name (cstring d (arg cpu mem 1)) in
+        ignore (Vm.find_class d.d_vm norm);
+        Cpu.set_reg cpu 0 (class_handle d norm)
+    | "GetObjectClass" ->
+      fun d cpu mem ->
+        (match value_of_iref d (arg cpu mem 1) with
+         | Dvalue.Obj id ->
+           let cls =
+             match (Heap.get d.d_vm.Vm.heap id).Heap.kind with
+             | Heap.Instance { cls; _ } -> cls
+             | Heap.String _ -> "Ljava/lang/String;"
+             | Heap.Array _ -> "Ljava/lang/Object;"
+           in
+           Cpu.set_reg cpu 0 (class_handle d cls)
+         | _ -> Cpu.set_reg cpu 0 0)
+    | "GetMethodID" | "GetStaticMethodID" -> get_method_id
+    | "GetFieldID" -> get_field_id false
+    | "GetStaticFieldID" -> get_field_id true
+    (* object creation: the NOF column of Table III *)
+    | "NewObject" -> new_object J.Varargs
+    | "NewObjectV" -> new_object J.Va_list
+    | "NewObjectA" -> new_object J.Jvalue_array
+    | "NewStringUTF" ->
+      (* r1 already holds the char*; delegate to the MAF *)
+      fun d cpu _mem ->
+        alloc_iref d ~self:(Machine.host_fn_addr d.d_machine "NewStringUTF")
+          ~maf:"dvmCreateStringFromCstr" "NewStringUTF" cpu
+    | "NewString" ->
+      fun d cpu _mem ->
+        alloc_iref d ~self:(Machine.host_fn_addr d.d_machine "NewString")
+          ~maf:"dvmCreateStringFromUnicode" "NewString" cpu
+    | "NewObjectArray" ->
+      fun d cpu _mem ->
+        alloc_iref d ~self:(Machine.host_fn_addr d.d_machine "NewObjectArray")
+          ~maf:"dvmAllocArrayByClass" "NewObjectArray" cpu
+    (* strings *)
+    | "GetStringUTFChars" ->
+      fun d cpu mem ->
+        (match string_obj d (arg cpu mem 1) with
+         | Some (_id, s) ->
+           let buf = A.Native_heap.malloc d.d_nheap (String.length s + 1) in
+           Memory.write_cstring mem buf s;
+           let is_copy = arg cpu mem 2 in
+           if is_copy <> 0 then Memory.write_u8 mem is_copy 1;
+           Cpu.set_reg cpu 0 buf
+         | None -> Cpu.set_reg cpu 0 0)
+    | "GetStringChars" ->
+      fun d cpu mem ->
+        (match string_obj d (arg cpu mem 1) with
+         | Some (_, s) ->
+           let buf = A.Native_heap.malloc d.d_nheap ((String.length s + 1) * 2) in
+           String.iteri (fun i c -> Memory.write_u16 mem (buf + (2 * i)) (Char.code c)) s;
+           Memory.write_u16 mem (buf + (2 * String.length s)) 0;
+           Cpu.set_reg cpu 0 buf
+         | None -> Cpu.set_reg cpu 0 0)
+    | "ReleaseStringUTFChars" | "ReleaseStringChars" -> release_chars
+    | "GetStringUTFLength" | "GetStringLength" -> string_length
+    | "GetStringUTFRegion" ->
+      fun d cpu mem ->
+        (match string_obj d (arg cpu mem 1) with
+         | Some (_, s) ->
+           let start = arg cpu mem 2 and len = arg cpu mem 3 and buf = arg cpu mem 4 in
+           let start = max 0 start in
+           let len = min len (String.length s - start) in
+           if len > 0 then Memory.write_string mem buf (String.sub s start len);
+           Memory.write_u8 mem (buf + max 0 len) 0
+         | None -> ())
+    | "GetStringRegion" ->
+      fun d cpu mem ->
+        (match string_obj d (arg cpu mem 1) with
+         | Some (_, s) ->
+           let start = arg cpu mem 2 and len = arg cpu mem 3 and buf = arg cpu mem 4 in
+           for i = 0 to len - 1 do
+             if start + i < String.length s then
+               Memory.write_u16 mem (buf + (2 * i)) (Char.code s.[start + i])
+           done
+         | None -> ())
+    (* arrays *)
+    | "GetArrayLength" ->
+      fun d cpu mem ->
+        (match array_of_iref d (arg cpu mem 1) with
+         | Some (_, elems) -> Cpu.set_reg cpu 0 (Array.length elems)
+         | None -> Cpu.set_reg cpu 0 0)
+    | "GetObjectArrayElement" ->
+      fun d cpu mem ->
+        (match array_of_iref d (arg cpu mem 1) with
+         | Some (_, elems) ->
+           let idx = arg cpu mem 2 in
+           if idx >= 0 && idx < Array.length elems then
+             Cpu.set_reg cpu 0
+               (match elems.(idx) with Dvalue.Obj _ as v -> iref_of_value d v | _ -> 0)
+           else Cpu.set_reg cpu 0 0
+         | None -> Cpu.set_reg cpu 0 0)
+    | "SetObjectArrayElement" ->
+      fun d cpu mem ->
+        (match array_of_iref d (arg cpu mem 1) with
+         | Some (_, elems) ->
+           let idx = arg cpu mem 2 in
+           if idx >= 0 && idx < Array.length elems then
+             elems.(idx) <- value_of_iref d (arg cpu mem 3)
+         | None -> ())
+    (* exceptions *)
+    | "ThrowNew" -> throw_new
+    | "Throw" ->
+      fun d cpu mem ->
+        let iref = arg cpu mem 1 in
+        let v = value_of_iref d iref in
+        d.pending_throw <- Some (v, query_taint d (Loc_iref iref));
+        Cpu.set_reg cpu 0 0
+    | "ExceptionOccurred" ->
+      fun d cpu _mem ->
+        Cpu.set_reg cpu 0
+          (match d.pending_throw with
+           | Some (v, _) -> (match v with Dvalue.Null -> 0 | _ -> iref_of_value d v)
+           | None -> 0)
+    | "ExceptionClear" -> fun d _cpu _mem -> d.pending_throw <- None
+    (* registration and references *)
+    | "RegisterNatives" -> register_natives
+    | "UnregisterNatives" ->
+      fun d cpu mem ->
+        (match class_of_handle d (arg cpu mem 1) with
+         | Some cls ->
+           Hashtbl.iter
+             (fun (c, m) _ -> if c = cls then Hashtbl.remove d.registered_natives (c, m))
+             (Hashtbl.copy d.registered_natives)
+         | None -> ());
+        Cpu.set_reg cpu 0 0
+    | "NewGlobalRef" | "NewLocalRef" -> fun _d cpu mem -> Cpu.set_reg cpu 0 (arg cpu mem 1)
+    | "DeleteGlobalRef" | "DeleteLocalRef" ->
+      fun d cpu mem ->
+        Indirect_ref.delete d.d_irefs (arg cpu mem 1);
+        ignore cpu
+    | name -> invalid_arg ("no libdvm handler for " ^ name))
 
 (* ---------------- the host-function layout ---------------- *)
 
@@ -1124,23 +1028,33 @@ let jni_functions =
    same addresses, so the layout is built once, when the module is
    initialised (before any domain can exist), and shared read-only.  A
    device binds it to itself in [create]: no per-device tables, names or
-   closures. *)
-let host_layout : t Machine.host_layout =
-  let place lib base fns =
-    List.mapi (fun i (name, run) -> (lib, name, base + (0x40 * i), run)) fns
+   closures.  Each library's catalogue rows are placed in order, 0x40
+   apart. *)
+let host_layout, rows_by_addr =
+  let place base rows =
+    List.mapi (fun i (row, run) -> (row, base + (0x40 * i), run)) rows
   in
-  Machine.host_layout
-    (place "libdvm.so" (Layout.libdvm_base + 0x1000) jni_functions
-    @ place "libc.so" (Layout.libc_base + 0x100)
+  let entries =
+    place (Layout.libdvm_base + 0x1000)
+      (List.map (fun r -> (r, jni_handler r)) J.functions)
+    @ place (Layout.libc_base + 0x100)
         (List.map
-           (fun (name, run) -> (name, fun d cpu mem -> run d.d_libc cpu mem))
+           (fun (r, run) -> (r, fun d cpu mem -> run d.d_libc cpu mem))
            A.Libc_model.functions)
-    @ place "libm.so" (Layout.libm_base + 0x100)
-        (List.map
-           (fun (name, run) -> (name, fun (_ : t) cpu mem -> run cpu mem))
-           A.Libm_model.functions))
+    @ place (Layout.libm_base + 0x100)
+        (List.map (fun (r, run) -> (r, fun (_ : t) cpu mem -> run cpu mem))
+           A.Libm_model.functions)
+  in
+  let by_addr = Hashtbl.create 256 in
+  List.iter (fun ((r : J.row), addr, _) -> Hashtbl.add by_addr addr r) entries;
+  ( Machine.host_layout
+      (List.map (fun ((r : J.row), addr, run) -> (J.lib_name r.J.lib, r.J.name, addr, run))
+         entries),
+    by_addr )
 
 let host_fn_addr name = Machine.layout_addr host_layout name
+(* a Thumb call target carries bit 0 *)
+let host_row addr = Hashtbl.find_opt rows_by_addr (addr land lnot 1)
 
 (* ---------------- construction ---------------- *)
 

@@ -54,6 +54,11 @@ val host_fn_addr : string -> int option
 (** Guest address of a libdvm, libc or libm function, the same on every
     device: apps' native libraries link against it without booting one. *)
 
+val host_row : int -> Ndroid_jni.Jni_names.row option
+(** The catalogue row of the function mounted at an address (a Thumb bit
+    is ignored): what the hook engines dispatch on, and the static
+    analyzer's resolver for calls out of a native library. *)
+
 (** {1 Components} *)
 
 val vm : t -> Vm.t

@@ -14,7 +14,6 @@ type input = {
   in_classes : Classes.class_def list;
   in_libs : (string * Asm.program) list;
   in_entries : (string * string) list;
-  in_resolve : int -> string option;
 }
 
 type verdict = {
@@ -139,8 +138,7 @@ let analyze ?classification input =
           | None -> unions argts)
         | None -> unions argts)
   and env =
-    { Native_flow.e_resolve = input.in_resolve; e_upcall = upcall;
-      e_record = record }
+    { Native_flow.e_upcall = upcall; e_record = record }
   in
   let ctx = Dex_flow.make ~cg ~record ~native_call in
   dex_ctx := Some ctx;
@@ -269,7 +267,7 @@ let analyze_apk (apk : Apk.t) =
   in
   analyze ~classification
     { in_name = apk.Apk.apk_package; in_classes = classes; in_libs = libs;
-      in_entries = []; in_resolve = (fun _ -> None) }
+      in_entries = [] }
 
 let contains_substring hay needle =
   let nl = String.length needle and hl = String.length hay in

@@ -19,9 +19,9 @@ type input = {
   in_libs : (string * Asm.program) list;
   in_entries : (string * string) list;
       (** root methods; [[]] = every app bytecode method *)
-  in_resolve : int -> string option;
-      (** host-function address → name, for native call resolution *)
 }
+(** Calls out of [in_libs] resolve against the host-function layout
+    every device mounts ({!Ndroid_runtime.Device.host_row}). *)
 
 type verdict = {
   v_name : string;

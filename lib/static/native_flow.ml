@@ -1,8 +1,7 @@
 module Taint = Ndroid_taint.Taint
 module T = Taint
 module Insn = Ndroid_arm.Insn
-module Syscalls = Ndroid_android.Syscalls
-module Jni_names = Ndroid_jni.Jni_names
+module J = Ndroid_jni.Jni_names
 
 type lib = {
   nf_name : string;
@@ -16,7 +15,6 @@ let make_lib ~name prog =
     nf_mem = T.clear; nf_changed = false }
 
 type env = {
-  e_resolve : int -> string option;
   e_upcall : string -> string -> T.t list -> T.t;
   e_record : Flow.t -> unit;
 }
@@ -113,62 +111,49 @@ let const_eval st op rn op2 =
     | _ -> Unknown)
   | _ -> Unknown
 
-(* host functions that return fresh handles and write nothing interesting *)
-let clean_fns =
-  [ "socket"; "connect"; "close"; "fclose"; "fopen"; "open"; "htons"; "htonl";
-    "inet_addr"; "malloc"; "calloc"; "realloc"; "free"; "fflush" ]
-
-let is_call_method name =
-  String.length name > 4 && String.sub name 0 4 = "Call" && Jni_names.mem name
-
-(* effect of one resolved host call on the abstract state; returns the
+(* effect of one host call on the abstract state, from its catalogue row
+   (a call the analyzer cannot resolve is [Opaque]); returns the
    return-value taint and the constant tracked for r0 *)
-let host_effect actx ~site st name =
+let host_effect actx ~site st (effect : J.effect) =
   let t i = st.st_regs.(i) in
   let mem () = actx.a_lib.nf_mem in
   let ctrl = st.st_ctrl in
   let args4 = unions [ t 0; t 1; t 2; t 3 ] in
-  if Syscalls.is_sink name then begin
+  let cstring r =
+    match st.st_consts.(r) with
+    | Const a -> Native_cfg.cstring_at actx.a_lib.nf_cfg a
+    | _ -> None
+  in
+  match effect with
+  | J.Sink sink ->
     let leak = unions [ args4; mem (); ctrl ] in
     if T.is_tainted leak then
       actx.a_env.e_record
-        { Flow.f_taint = leak; f_sink = name; f_context = Flow.Native_ctx;
+        { Flow.f_taint = leak; f_sink = sink; f_context = Flow.Native_ctx;
           f_site = site; f_hops = [] };
     (ctrl, Unknown)
-  end
-  else
-    match name with
-    | "FindClass" -> (
-      match st.st_consts.(1) with
-      | Const a -> (
-        match Native_cfg.cstring_at actx.a_lib.nf_cfg a with
-        | Some s -> (ctrl, Cls s)
-        | None -> (ctrl, Unknown))
-      | _ -> (ctrl, Unknown))
-    | "GetMethodID" | "GetStaticMethodID" -> (
-      match (st.st_consts.(1), st.st_consts.(2)) with
-      | Cls cls, Const a -> (
-        match Native_cfg.cstring_at actx.a_lib.nf_cfg a with
-        | Some m -> (ctrl, Mid (cls, m))
-        | None -> (ctrl, Unknown))
-      | _ -> (ctrl, Unknown))
-    | "NewStringUTF" | "NewString" ->
-      (* the chars pointer's pointee lives in library memory *)
-      (unions [ t 1; mem (); ctrl ], Unknown)
-    | "GetStringUTFChars" | "GetStringChars" | "GetStringUTFLength"
-    | "GetStringLength" | "GetStringUTFRegion" | "GetStringRegion" ->
-      (T.union (t 1) ctrl, Unknown)
-    | _ when is_call_method name -> (
-      (* Call*Method(env, obj/cls, mid, args...): the supergraph back-edge *)
-      match st.st_consts.(2) with
-      | Mid (cls, m) ->
-        (T.union (actx.a_env.e_upcall cls m [ t 3 ]) ctrl, Unknown)
-      | _ -> (unions [ t 1; t 2; t 3; mem (); ctrl ], Unknown))
-    | _ when List.mem name clean_fns -> (ctrl, Unknown)
-    | _ ->
-      (* any other modeled function may store its arguments *)
-      set_mem actx (T.union args4 ctrl);
-      (T.union args4 ctrl, Unknown)
+  | J.Class_of_cstring -> (
+    match cstring 1 with Some s -> (ctrl, Cls s) | None -> (ctrl, Unknown))
+  | J.Method_id -> (
+    match (st.st_consts.(1), cstring 2) with
+    | Cls cls, Some m -> (ctrl, Mid (cls, m))
+    | _ -> (ctrl, Unknown))
+  | J.String_of_chars ->
+    (* the chars pointer's pointee lives in library memory *)
+    (unions [ t 1; mem (); ctrl ], Unknown)
+  | J.Returns_arg i -> (T.union (t i) ctrl, Unknown)
+  | J.Upcall -> (
+    (* Call*Method(env, obj/cls, mid, args...): the supergraph back-edge *)
+    match st.st_consts.(2) with
+    | Mid (cls, m) -> (T.union (actx.a_env.e_upcall cls m [ t 3 ]) ctrl, Unknown)
+    | _ -> (unions [ t 1; t 2; t 3; mem (); ctrl ], Unknown))
+  | J.Clean -> (ctrl, Unknown)
+  | J.Stores_args ->
+    set_mem actx (T.union args4 ctrl);
+    (T.union args4 ctrl, Unknown)
+  | J.Opaque ->
+    set_mem actx (T.union args4 ctrl);
+    (unions [ args4; mem (); ctrl ], Unknown)
 
 let rec analyze_fn actx ~entry ~args ~ctrl =
   let cfg = actx.a_lib.nf_cfg in
@@ -214,23 +199,23 @@ let rec analyze_fn actx ~entry ~args ~ctrl =
       st.st_consts.(3) <- Unknown;
       st.st_consts.(12) <- Unknown
     in
-    let call_addr st a =
-      (* call to an absolute address: local function or host function *)
-      let args = [ st.st_regs.(0); st.st_regs.(1); st.st_regs.(2); st.st_regs.(3) ] in
-      let rett, r0c =
-        if Native_cfg.contains cfg a then
-          (analyze_fn actx ~entry:a ~args ~ctrl:st.st_ctrl, Unknown)
-        else
-          match actx.a_env.e_resolve a with
-          | Some name -> host_effect actx ~site st name
-          | None ->
-            (* unknown target: assume it stores and returns its arguments *)
-            let at = unions args in
-            set_mem actx (T.union at st.st_ctrl);
-            (unions [ at; mem (); st.st_ctrl ], Unknown)
-      in
+    let call_effect st effect =
+      let rett, r0c = host_effect actx ~site st effect in
       st.st_regs.(0) <- T.union rett st.st_ctrl;
       invalidate_call_consts st r0c
+    in
+    let call_addr st a =
+      (* call to an absolute address: local function or host function *)
+      if Native_cfg.contains cfg a then begin
+        let args = [ st.st_regs.(0); st.st_regs.(1); st.st_regs.(2); st.st_regs.(3) ] in
+        st.st_regs.(0) <- T.union (analyze_fn actx ~entry:a ~args ~ctrl:st.st_ctrl) st.st_ctrl;
+        invalidate_call_consts st Unknown
+      end
+      else
+        call_effect st
+          (match Ndroid_runtime.Device.host_row a with
+           | Some row -> row.J.effect
+           | None -> J.Opaque)
     in
     let step addr st insn size =
       let next = addr + size in
@@ -256,12 +241,7 @@ let rec analyze_fn actx ~entry ~args ~ctrl =
         let st' = copy_state st in
         (match st.st_consts.(rm) with
          | Const a -> call_addr st' a
-         | _ ->
-           let at = unions [ st.st_regs.(0); st.st_regs.(1); st.st_regs.(2);
-                             st.st_regs.(3) ] in
-           set_mem actx (T.union at st.st_ctrl);
-           st'.st_regs.(0) <- unions [ at; mem (); st.st_ctrl ];
-           invalidate_call_consts st' Unknown);
+         | _ -> call_effect st' J.Opaque);
         finish st'
       | Insn.Bx { link = false; rm; _ } ->
         (match st.st_consts.(rm) with

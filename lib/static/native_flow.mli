@@ -18,9 +18,10 @@
       is the over-approximation of implicit flows that lets the static
       pass flag the Sec. VII control-flow-evasion app that the dynamic
       tracer misses by design;
-    - calls resolving to the [*]-marked libc surface
-      ({!Ndroid_android.Syscalls.sinks}) report a flow when the joined
-      argument/memory/control taint is non-empty. *)
+    - a call into libdvm, libc or libm takes the taint effect of its
+      catalogue row ({!Ndroid_jni.Jni_names.effect}, found through
+      {!Ndroid_runtime.Device.host_row}); a sink-marked row reports a flow
+      when the joined argument/memory/control taint is non-empty. *)
 
 module Taint = Ndroid_taint.Taint
 
@@ -36,8 +37,6 @@ type lib = {
 val make_lib : name:string -> Ndroid_arm.Asm.program -> lib
 
 type env = {
-  e_resolve : int -> string option;
-      (** host-function address → name (JNI surface, libc, libm) *)
   e_upcall : string -> string -> Taint.t list -> Taint.t;
       (** [Call*Method] back-edge into Java: class, method, argument
           taints → return taint (the supergraph's native→Java edge) *)

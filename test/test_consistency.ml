@@ -7,34 +7,59 @@ module Machine = Ndroid_emulator.Machine
 module Jni_names = Ndroid_jni.Jni_names
 module H = Ndroid_apps.Harness
 
-let mounted_names device =
-  (* probe by name through the machine's symbol table *)
-  fun name ->
-    match Machine.host_fn_addr (Device.machine device) name with
-    | _ -> true
-    | exception Not_found -> false
-
 let test_taxonomy_is_mounted () =
-  (* every function the paper's hook engine names (and our taxonomy lists)
-     exists at a guest address, so hooking-by-offset is always possible *)
+  (* the catalogue and the layout agree in both directions: every row is
+     mounted in its own library, and every mounted host function has
+     exactly one row, whose hook group is its library's hook engine *)
   let device = Device.create () in
-  let is_mounted = mounted_names device in
-  let missing =
-    List.filter_map
-      (fun (name, group) ->
-        (* the vararg-list Region/Elements taxonomy entries for Long/Double
-           are mounted; plain per-type Get/Set<Prim>Field uses the generic
-           "Primitive" name in the paper's table — skip the placeholder *)
-        if is_mounted name then None else Some (name, group))
-      Jni_names.functions
+  let machine = Device.machine device in
+  let rows =
+    Jni_names.functions
+    @ List.map fst Ndroid_android.Libc_model.functions
+    @ List.map fst Ndroid_android.Libm_model.functions
   in
-  let tolerated = [] in
-  let really_missing =
-    List.filter (fun (n, _) -> not (List.mem n tolerated)) missing
-  in
-  if really_missing <> [] then
-    Alcotest.failf "unmounted taxonomy entries: %s"
-      (String.concat ", " (List.map fst really_missing))
+  List.iter
+    (fun (r : Jni_names.row) ->
+      match
+        Option.bind (Device.host_fn_addr r.Jni_names.name) (Machine.find_host_fn machine)
+      with
+      | Some hf when hf.Machine.hf_lib = Jni_names.lib_name r.Jni_names.lib -> ()
+      | Some _ | None ->
+        Alcotest.failf "row %s is not mounted in its library" r.Jni_names.name)
+    rows;
+  let mounted = ref 0 and unrowed = ref [] in
+  List.iter
+    (fun (lib, base, size) ->
+      if List.mem lib [ "libdvm.so"; "libc.so"; "libm.so" ] then
+        for addr = base to base + size - 1 do
+          match Machine.find_host_fn machine addr with
+          | None -> ()
+          | Some hf -> (
+            incr mounted;
+            match
+              List.filter
+                (fun (r : Jni_names.row) ->
+                  r.Jni_names.name = hf.Machine.hf_name
+                  && Jni_names.lib_name r.Jni_names.lib = hf.Machine.hf_lib)
+                rows
+            with
+            | [ r ] ->
+              if
+                (r.Jni_names.lib = Jni_names.Libdvm)
+                = (r.Jni_names.group = Jni_names.Syslib)
+              then Alcotest.failf "%s: hook group of the wrong engine" hf.Machine.hf_name;
+              (match Device.host_row addr with
+               | Some r' when r' == r -> ()
+               | Some _ | None ->
+                 Alcotest.failf "%s: the hook engines' lookup finds another row"
+                   hf.Machine.hf_name)
+            | _ -> unrowed := hf.Machine.hf_name :: !unrowed)
+        done)
+    Ndroid_emulator.Layout.regions;
+  if !unrowed <> [] then
+    Alcotest.failf "mounted without exactly one catalogue row: %s"
+      (String.concat ", " (List.rev !unrowed));
+  Alcotest.(check int) "mounted host functions" (List.length rows) !mounted
 
 let test_sink_catalogs_consistent () =
   (* every native sink name in Syscalls.sinks is among the hooked calls *)

@@ -58,19 +58,25 @@ let test_function_groups () =
 
 let test_call_method_families_expand () =
   (* Table II: 9 families x 10 types = 90 wrappers *)
-  let exits =
-    List.filter (fun (_, g) -> g = Jni_names.Jni_exit) Jni_names.functions
-  in
   let wrappers =
-    List.filter (fun (n, _) -> String.length n > 4 && String.sub n 0 4 = "Call") exits
+    List.filter_map
+      (fun (r : Jni_names.row) ->
+        match r.Jni_names.shape with
+        | Jni_names.Call_method { dispatch; style; _ }
+          when r.Jni_names.group = Jni_names.Jni_exit ->
+          Some (dispatch, style)
+        | _ -> None)
+      Jni_names.functions
   in
   Alcotest.(check int) "90 Call wrappers" 90 (List.length wrappers);
-  Alcotest.(check int) "9 families" 9 (List.length Jni_names.call_method_families)
+  Alcotest.(check int) "9 families" 9 (List.length (List.sort_uniq compare wrappers))
 
 let test_field_table_expand () =
   (* Table IV over Object + 8 primitives, get/set, static/instance = 36 *)
   let fields =
-    List.filter (fun (_, g) -> g = Jni_names.Field_access) Jni_names.functions
+    List.filter
+      (fun (r : Jni_names.row) -> r.Jni_names.group = Jni_names.Field_access)
+      Jni_names.functions
   in
   Alcotest.(check int) "36 field accessors" 36 (List.length fields)
 

@@ -397,6 +397,81 @@ let test_bundled_hops_in_focus () =
       | _ -> ())
     Ndroid_apps.Registry.all
 
+(* ---- the host-function catalogue on packed bytes and on vfprintf ---- *)
+
+let test_packed_bytes_flagged () =
+  (* from the bytes [ndroid pack] writes, calls out of an app's libraries
+     resolve against the same catalogue as from its harness form *)
+  List.iter
+    (fun (app : H.app) ->
+      if St.Analyzer.flagged (St.Drive.verdict_of_app app) then
+        Alcotest.(check bool)
+          (app.H.app_name ^ " flagged from its packed bytes")
+          true
+          (St.Analyzer.flagged (St.Analyzer.analyze_apk (St.Drive.apk_of_app app))))
+    Ndroid_apps.Registry.all
+
+let vfprintf_app : H.app =
+  let module J = Ndroid_dalvik.Jbuilder in
+  let cls = "Lcom/ndroid/demos/Vfprintf;" in
+  let mov rd rm = Asm.I (Insn.mov rd (Insn.Reg rm)) in
+  let lib extern =
+    Asm.assemble ~extern ~base:Ndroid_emulator.Layout.app_lib_base
+      [ Asm.Label "leak";
+        Asm.I (Insn.push [ Insn.r4; Insn.r5; Insn.lr ]);
+        (* chars = GetStringUTFChars(env, data, NULL) *)
+        mov 1 2;
+        Asm.I (Insn.mov 2 (Insn.Imm 0));
+        Asm.Call "GetStringUTFChars";
+        mov 4 0;
+        (* vfprintf(fopen(path, "a"), "%s", chars) *)
+        Asm.La (0, "path");
+        Asm.La (1, "mode");
+        Asm.Call "fopen";
+        mov 5 0;
+        Asm.La (1, "fmt");
+        mov 2 4;
+        Asm.Call "vfprintf";
+        mov 0 5;
+        Asm.Call "fclose";
+        Asm.I (Insn.mov 0 (Insn.Imm 0));
+        Asm.I (Insn.pop [ Insn.r4; Insn.r5; Insn.pc ]);
+        Asm.Align4;
+        Asm.Label "path";
+        Asm.Asciz "/sdcard/.vf";
+        Asm.Label "mode";
+        Asm.Asciz "a";
+        Asm.Label "fmt";
+        Asm.Asciz "%s" ]
+  in
+  { H.app_name = "vfprintf";
+    app_case = "case 2";
+    description = "IMEI -> native vfprintf into a file";
+    classes =
+      [ J.class_ ~name:cls ~super:"Ljava/lang/Object;"
+          [ J.native_method ~cls ~name:"leak" ~shorty:"IL" "leak";
+            J.method_ ~cls ~name:"main" ~shorty:"V"
+              [ J.I
+                  (B.Invoke
+                     ( B.Static,
+                       { B.m_class = "Landroid/telephony/TelephonyManager;";
+                         m_name = "getDeviceId" },
+                       [] ));
+                J.I (B.Move_result 0);
+                J.I (B.Invoke (B.Static, { B.m_class = cls; m_name = "leak" }, [ 0 ]));
+                J.I B.Return_void ] ] ];
+    build_libs = (fun extern -> [ ("vfprintf", lib extern) ]);
+    entry = (cls, "main");
+    expected_sink = "fprintf" }
+
+let test_vfprintf_sink () =
+  (* the row's sink mark is one column for both analyses, and both report
+     the leak as fprintf *)
+  Alcotest.(check bool) "flagged statically at fprintf" true
+    (St.Analyzer.flagged_at (St.Drive.verdict_of_app vfprintf_app) "fprintf");
+  Alcotest.(check bool) "detected by NDroid" true
+    (H.run H.Ndroid_full vfprintf_app).H.detected
+
 let suite =
   [ Alcotest.test_case "dex cfg: diamond blocks" `Quick test_dex_cfg_blocks;
     Alcotest.test_case "dex cfg: reaching defs" `Quick test_dex_cfg_reaching_defs;
@@ -415,4 +490,8 @@ let suite =
       test_bundled_hops_in_focus;
     QCheck_alcotest.to_alcotest prop_arm_stream_roundtrip;
     QCheck_alcotest.to_alcotest prop_thumb_stream_roundtrip;
-    QCheck_alcotest.to_alcotest prop_slice_soundness ]
+    QCheck_alcotest.to_alcotest prop_slice_soundness;
+    Alcotest.test_case "registry flagged from packed bytes" `Quick
+      test_packed_bytes_flagged;
+    Alcotest.test_case "vfprintf is a sink to both analyses" `Quick
+      test_vfprintf_sink ]
