@@ -1,6 +1,9 @@
 (* Experiment harness: regenerates every table and figure of the paper's
    evaluation (see DESIGN.md's per-experiment index), plus the ablations
    and a Bechamel micro-benchmark suite (one Test.make per table/figure).
+   Nothing here gates speed or correctness: the repository benchmark
+   (perfbench/, judged in base/head pairs by bench/paired.py) measures
+   speed, and the test suite (dune runtest) holds every check.
 
    Usage:
      dune exec bench/main.exe            # every experiment
@@ -9,7 +12,6 @@
 *)
 
 module Taint = Ndroid_taint.Taint
-module Taint_map = Ndroid_taint.Taint_map
 module Insn = Ndroid_arm.Insn
 module Cpu = Ndroid_arm.Cpu
 module Asm = Ndroid_arm.Asm
@@ -572,1039 +574,6 @@ let e12 () =
   Printf.printf "NDroid missed it: %b (expected: true — no control-flow taint)\n"
     missed
 
-(* ---------------------------------------------------------------- perf -- *)
-
-(* Native hot-path throughput: instructions/sec through the traced
-   (NDroid-attached) machine on the E8 native workloads, the minor-heap
-   words each traced instruction allocates, the same workloads' time on a
-   vanilla device, plus taint-map operation throughput.  Writes
-   BENCH_native.json so successive PRs can track the trajectory of the
-   per-instruction trace loop; CI gates the allocation column. *)
-
-let perf_iterations = 12000
-
-type perf_sample = { p_insns : int; p_seconds : float; p_words : float }
-
-let perf_measure_workload device machine (w : CF.workload) =
-  (* one warmup run populates the decode cache, memory pages and policies *)
-  w.CF.w_run device ~iterations:perf_iterations;
-  let c0 = Machine.insn_count machine in
-  let w0 = Gc.minor_words () in
-  let t0 = now () in
-  let reps = ref 0 in
-  while now () -. t0 < 0.35 && !reps < 400 do
-    w.CF.w_run device ~iterations:perf_iterations;
-    incr reps
-  done;
-  let dt = now () -. t0 in
-  { p_insns = Machine.insn_count machine - c0;
-    p_seconds = dt;
-    p_words = Gc.minor_words () -. w0 }
-
-let perf_taint_ops () =
-  (* mixed range-op churn: the operation profile of the modeled libc
-     summaries (memcpy/memset/strcpy) plus per-insn loads and stores *)
-  let m = Taint_map.create () in
-  let ops = ref 0 in
-  let t0 = now () in
-  for _round = 0 to 49 do
-    for i = 0 to 63 do
-      let base = 0x30000000 + (i * 256) in
-      Taint_map.set_range m base 64 Taint.imei;
-      Taint_map.add_range m (base + 32) 64 Taint.sms;
-      ignore (Taint_map.get_range m base 128);
-      Taint_map.copy_range m ~src:base ~dst:(base + 0x10000) ~len:64;
-      Taint_map.clear_range m base 128;
-      ops := !ops + 5
-    done
-  done;
-  let dirty_dt = now () -. t0 in
-  (* the dominant case in practice: lookups against a fully clear map *)
-  Taint_map.reset m;
-  let probes = 2_000_000 in
-  let t1 = now () in
-  for i = 0 to probes - 1 do
-    ignore (Taint_map.get_range m (0x30000000 + (i land 0xFFFF)) 4)
-  done;
-  let clear_dt = now () -. t1 in
-  (float_of_int !ops /. dirty_dt, float_of_int probes /. clear_dt)
-
-(* a CF-Bench device with the modelled library-body charge zeroed, so the
-   rows isolate the trace loop (as A3) *)
-let perf_device configure =
-  let device = H.boot CF.app in
-  CF.prepare device;
-  configure device;
-  let machine = Device.machine device in
-  Machine.set_host_fn_work machine 0;
-  (device, machine)
-
-let perf () =
-  section "PERF: native hot-path throughput (NDroid-attached E8 configuration)";
-  let device, machine = perf_device (fun d -> ignore (Ndroid.attach d)) in
-  let v_device, v_machine = perf_device Taintdroid.vanilla in
-  let native = List.filter (fun w -> w.CF.w_kind = CF.Native) CF.workloads in
-  Printf.printf "%-22s %12s %9s %12s %11s %9s\n" "workload" "insns" "seconds"
-    "insns/sec" "words/insn" "x vanilla";
-  let rows =
-    List.map
-      (fun (w : CF.workload) ->
-        let nd = perf_measure_workload device machine w in
-        let va = perf_measure_workload v_device v_machine w in
-        let per_insn s = s.p_seconds /. float_of_int s.p_insns in
-        let ips = 1.0 /. per_insn nd in
-        let words = nd.p_words /. float_of_int nd.p_insns in
-        let ratio = per_insn nd /. per_insn va in
-        Printf.printf "%-22s %12d %9.4f %12.0f %11.3f %9.2f\n%!" w.CF.w_name
-          nd.p_insns nd.p_seconds ips words ratio;
-        (w.CF.w_name, nd, ips, words, ratio))
-      native
-  in
-  let total_insns =
-    List.fold_left (fun a (_, s, _, _, _) -> a + s.p_insns) 0 rows
-  in
-  let total_dt =
-    List.fold_left (fun a (_, s, _, _, _) -> a +. s.p_seconds) 0.0 rows
-  in
-  let agg = float_of_int total_insns /. total_dt in
-  Printf.printf "%-22s %12d %9.4f %12.0f\n" "TOTAL" total_insns total_dt agg;
-  let taint_ops, clear_probes = perf_taint_ops () in
-  let hits, misses = Machine.icache_stats machine in
-  Printf.printf "taint range ops/sec:     %14.0f\n" taint_ops;
-  Printf.printf "clear-map get_range/sec: %14.0f\n" clear_probes;
-  Printf.printf "icache hits/misses:      %d/%d\n" hits misses;
-  let oc = open_out "BENCH_native.json" in
-  Printf.fprintf oc "{\n  \"experiment\": \"perf\",\n";
-  Printf.fprintf oc "  \"iterations_per_run\": %d,\n" perf_iterations;
-  Printf.fprintf oc "  \"workloads\": [\n";
-  List.iteri
-    (fun i (name, s, ips, words, ratio) ->
-      Printf.fprintf oc
-        "    {\"name\": %S, \"insns\": %d, \"seconds\": %.6f, \
-         \"insns_per_sec\": %.0f, \"minor_words_per_insn\": %.4f, \
-         \"ndroid_over_vanilla\": %.3f}%s\n"
-        name s.p_insns s.p_seconds ips words ratio
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc "  \"total_insns\": %d,\n" total_insns;
-  Printf.fprintf oc "  \"total_seconds\": %.6f,\n" total_dt;
-  Printf.fprintf oc "  \"insns_per_sec\": %.0f,\n" agg;
-  Printf.fprintf oc "  \"taint_range_ops_per_sec\": %.0f,\n" taint_ops;
-  Printf.fprintf oc "  \"clear_map_get_range_per_sec\": %.0f,\n" clear_probes;
-  Printf.fprintf oc "  \"icache_hits\": %d,\n" hits;
-  Printf.fprintf oc "  \"icache_misses\": %d\n}\n" misses;
-  close_out oc;
-  Printf.printf "wrote BENCH_native.json\n"
-
-(* ----------------------------------------------------------- STATIC -- *)
-
-module St_analyzer = Ndroid_static.Analyzer
-module St_drive = Ndroid_static.Drive
-module St_report = Ndroid_static.Report
-module Apk = Ndroid_corpus.Apk
-
-let static_registry () = Ndroid_apps.Registry.all
-
-(* Workers for the sharded sweeps; set with `--jobs N`. *)
-let jobs_flag = ref 4
-
-module Task = Ndroid_pipeline.Task
-module Engine = Ndroid_pipeline.Engine
-module Pool = Ndroid_pipeline.Pool
-module P_cache = Ndroid_pipeline.Cache
-module Server = Ndroid_pipeline.Server
-module Proto = Ndroid_pipeline.Proto
-module Stream = Ndroid_obs.Stream
-module Rj = Ndroid_report.Json
-module Verdict = Ndroid_report.Verdict
-
-(* Sweep a market slice through the pipeline and return reports in id
-   order — sequential in-process at jobs=1, forked pool beyond. *)
-let sweep_slice ~jobs params =
-  let tasks = Task.of_market_slice params in
-  if jobs <= 1 then (Pool.run_inline tasks, None)
-  else
-    let reports, stats = Pool.run (Pool.config ~jobs ()) tasks in
-    (reports, Some stats)
-
-let static () =
-  section "STATIC: dex+native supergraph analysis vs. dynamic NDroid (E3 apps)";
-  let apps = static_registry () in
-  Printf.printf "%-22s %-8s %-8s %s\n" "app" "dynamic" "static" "agreement";
-  let rows =
-    List.map
-      (fun (app : H.app) ->
-        let dynamic = (H.run H.Ndroid_full app).H.detected in
-        let v = St_drive.verdict_of_app app in
-        let static_flag =
-          if app.H.expected_sink = "" then St_analyzer.flagged v
-          else St_analyzer.flagged_at v app.H.expected_sink
-        in
-        let agreement =
-          match (dynamic, static_flag) with
-          | true, true -> "both detect"
-          | false, false -> "both clean"
-          | true, false -> "STATIC FALSE NEGATIVE"
-          | false, true -> "static-only (dynamic blind spot)"
-        in
-        Printf.printf "%-22s %-8s %-8s %s\n%!" app.H.app_name
-          (if dynamic then "detect" else "miss")
-          (if static_flag then "flag" else "clean")
-          agreement;
-        (app, dynamic, static_flag, v))
-      apps
-  in
-  let false_negs =
-    List.filter (fun (_, dyn, st, _) -> dyn && not st) rows
-  in
-  let evasion_flagged =
-    List.exists
-      (fun ((app : H.app), _, st, _) ->
-        app.H.app_name = Ndroid_apps.Evasion.app.H.app_name && st)
-      rows
-  in
-  let static_only =
-    List.filter (fun (_, dyn, st, _) -> st && not dyn) rows
-  in
-  Printf.printf "static false negatives: %d\n" (List.length false_negs);
-  Printf.printf "control-flow evasion app statically flagged: %b\n"
-    evasion_flagged;
-  (* market triage: how much of a 1,200-app slice can static analysis prune
-     before any dynamic run, and at what throughput? *)
-  let slice = 1200 in
-  let jobs = !jobs_flag in
-  Printf.printf "\ntriaging a %d-app market slice (--jobs %d)...\n%!" slice
-    jobs;
-  let params = Market.scaled slice in
-  let total = ref 0 and flagged = ref 0 in
-  let leaky_total = ref 0 and leaky_flagged = ref 0 in
-  let clean_flagged = ref 0 in
-  let t0 = now () in
-  let reports, _stats = sweep_slice ~jobs params in
-  Seq.iteri
-    (fun i model ->
-      incr total;
-      let leaky = Market.app_is_leaky model in
-      if leaky then incr leaky_total;
-      if Verdict.flagged reports.(i).Verdict.r_verdict then begin
-        incr flagged;
-        if leaky then incr leaky_flagged else incr clean_flagged
-      end)
-    (Market.generate params);
-  let dt = now () -. t0 in
-  let apps_per_sec = float_of_int !total /. dt in
-  let pruned = !total - !flagged in
-  let pruned_frac = float_of_int pruned /. float_of_int !total in
-  let market_fn = !leaky_total - !leaky_flagged in
-  Printf.printf "market slice:     %d apps in %.2fs (%.1f apps/sec)\n" !total dt
-    apps_per_sec;
-  Printf.printf "statically flagged: %d (%d known-leaky, %d over-approx)\n"
-    !flagged !leaky_flagged !clean_flagged;
-  Printf.printf "pruned for triage:  %d (%.1f%% of the slice)\n" pruned
-    (100.0 *. pruned_frac);
-  Printf.printf "leaky apps missed:  %d of %d\n" market_fn !leaky_total;
-  (* hybrid: static triage first, focused dynamic only on the flagged
-     residue.  Sweep the same slice under --both and --hybrid and demand
-     identical verdicts, with a dynamic pass on exactly the statically
-     flagged apps under --hybrid and on every app under --both: the work
-     hybrid saves, counted.  Both sweeps run inline (no cache, no forked
-     pool); their times are recorded, not gated. *)
-  Printf.printf "\nhybrid vs both on the same %d-app slice...\n%!" slice;
-  let run_mode mode =
-    let tasks = Task.of_market_slice ~mode params in
-    let t0 = now () in
-    let reports = Pool.run_inline tasks in
-    (reports, now () -. t0)
-  in
-  let both_reports, both_dt = run_mode Task.Both in
-  let hybrid_reports, hybrid_dt = run_mode Task.Hybrid in
-  let verdict_diffs = ref 0 in
-  Array.iteri
-    (fun i (r : Verdict.report) ->
-      if
-        Verdict.flagged r.Verdict.r_verdict
-        <> Verdict.flagged both_reports.(i).Verdict.r_verdict
-      then incr verdict_diffs)
-    hybrid_reports;
-  let count_flagged reports =
-    Array.fold_left
-      (fun acc (r : Verdict.report) ->
-        if Verdict.flagged r.Verdict.r_verdict then acc + 1 else acc)
-      0 reports
-  in
-  let hybrid_flagged = count_flagged hybrid_reports in
-  let hybrid_missed = ref 0 in
-  Seq.iteri
-    (fun i model ->
-      if
-        Market.app_is_leaky model
-        && not (Verdict.flagged hybrid_reports.(i).Verdict.r_verdict)
-      then incr hybrid_missed)
-    (Market.generate params);
-  let _, _, focused_methods, skipped_bytecodes =
-    Pool.counters_of_reports hybrid_reports
-  in
-  let has_dynamic (r : Verdict.report) =
-    List.exists
-      (fun (k, _) -> String.starts_with ~prefix:"dynamic_" k)
-      r.Verdict.r_meta
-  in
-  let count_dynamic =
-    Array.fold_left (fun acc r -> if has_dynamic r then acc + 1 else acc) 0
-  in
-  let hybrid_dynamic = count_dynamic hybrid_reports in
-  let both_dynamic = count_dynamic both_reports in
-  let dynamic_not_flagged = ref 0 in
-  Array.iteri
-    (fun i (r : Verdict.report) ->
-      if has_dynamic r <> Verdict.flagged reports.(i).Verdict.r_verdict then
-        incr dynamic_not_flagged)
-    hybrid_reports;
-  (* the bundled detection apps must all still be caught when the dynamic
-     pass runs gated on the static focus set *)
-  let bundled_tasks mode =
-    List.mapi
-      (fun i ((app : H.app), _, _, _) ->
-        { Task.t_id = i; Task.t_subject = Task.Bundled app.H.app_name;
-          Task.t_mode = mode; Task.t_fault = None })
-      rows
-  in
-  let bundled_hybrid = Pool.run_inline (bundled_tasks Task.Hybrid) in
-  let bundled_expected = List.length (List.filter (fun (_, d, _, _) -> d) rows) in
-  let bundled_detected =
-    List.fold_left
-      (fun acc (i, (_, dyn, _, _)) ->
-        if dyn && Verdict.flagged bundled_hybrid.(i).Verdict.r_verdict then
-          acc + 1
-        else acc)
-      0
-      (List.mapi (fun i row -> (i, row)) rows)
-  in
-  Printf.printf "both:   %d apps in %.2fs\n" !total both_dt;
-  Printf.printf "hybrid: %d apps in %.2fs\n" !total hybrid_dt;
-  Printf.printf
-    "dynamic passes: hybrid %d (statically flagged %d, mismatched %d) | both %d\n"
-    hybrid_dynamic !flagged !dynamic_not_flagged both_dynamic;
-  Printf.printf
-    "hybrid flagged: %d | verdict diffs vs both: %d | leaky missed: %d\n"
-    hybrid_flagged !verdict_diffs !hybrid_missed;
-  Printf.printf "hybrid bundled detections: %d/%d\n" bundled_detected
-    bundled_expected;
-  Printf.printf "focused methods: %d | skipped bytecodes: %d\n" focused_methods
-    skipped_bytecodes;
-  let oc = open_out "BENCH_static.json" in
-  Printf.fprintf oc "{\n  \"experiment\": \"static\",\n";
-  Printf.fprintf oc "  \"apps\": [\n";
-  List.iteri
-    (fun i ((app : H.app), dyn, st, (v : St_analyzer.verdict)) ->
-      Printf.fprintf oc
-        "    {\"name\": %S, \"dynamic\": %b, \"static\": %b, \"flows\": %d, \
-         \"jni_sites\": %d, \"native_insns\": %d, \"rounds\": %d}%s\n"
-        app.H.app_name dyn st
-        (List.length (St_analyzer.flows v))
-        v.St_analyzer.v_jni_sites v.St_analyzer.v_native_insns
-        v.St_analyzer.v_rounds
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc "  \"static_false_negatives\": %d,\n"
-    (List.length false_negs);
-  Printf.fprintf oc "  \"static_only_detections\": %d,\n"
-    (List.length static_only);
-  Printf.fprintf oc "  \"evasion_app_flagged\": %b,\n" evasion_flagged;
-  Printf.fprintf oc "  \"market\": {\n";
-  Printf.fprintf oc "    \"slice\": %d,\n" !total;
-  Printf.fprintf oc "    \"jobs\": %d,\n" jobs;
-  Printf.fprintf oc "    \"flagged\": %d,\n" !flagged;
-  Printf.fprintf oc "    \"pruned\": %d,\n" pruned;
-  Printf.fprintf oc "    \"pruned_fraction\": %.4f,\n" pruned_frac;
-  Printf.fprintf oc "    \"known_leaky\": %d,\n" !leaky_total;
-  Printf.fprintf oc "    \"leaky_flagged\": %d,\n" !leaky_flagged;
-  Printf.fprintf oc "    \"leaky_missed\": %d,\n" market_fn;
-  Printf.fprintf oc "    \"seconds\": %.4f,\n" dt;
-  Printf.fprintf oc "    \"apps_per_sec\": %.1f\n" apps_per_sec;
-  Printf.fprintf oc "  },\n";
-  Printf.fprintf oc "  \"hybrid\": {\n";
-  Printf.fprintf oc "    \"slice\": %d,\n" !total;
-  Printf.fprintf oc "    \"both_seconds\": %.4f,\n" both_dt;
-  Printf.fprintf oc "    \"hybrid_seconds\": %.4f,\n" hybrid_dt;
-  Printf.fprintf oc "    \"dynamic_passes\": %d,\n" hybrid_dynamic;
-  Printf.fprintf oc "    \"both_dynamic_passes\": %d,\n" both_dynamic;
-  Printf.fprintf oc "    \"flagged\": %d,\n" hybrid_flagged;
-  Printf.fprintf oc "    \"verdict_diffs\": %d,\n" !verdict_diffs;
-  Printf.fprintf oc "    \"leaky_missed\": %d,\n" !hybrid_missed;
-  Printf.fprintf oc "    \"bundled_detections\": %d,\n" bundled_detected;
-  Printf.fprintf oc "    \"bundled_expected\": %d,\n" bundled_expected;
-  Printf.fprintf oc "    \"focused_methods\": %d,\n" focused_methods;
-  Printf.fprintf oc "    \"skipped_bytecodes\": %d\n" skipped_bytecodes;
-  Printf.fprintf oc "  }\n}\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_static.json\n";
-  if false_negs <> [] then begin
-    List.iter
-      (fun ((app : H.app), _, _, v) ->
-        Printf.eprintf "STATIC FALSE NEGATIVE: %s (expected sink %S)\n"
-          app.H.app_name app.H.expected_sink;
-        Format.eprintf "%a@." St_report.pp_verdict v)
-      false_negs;
-    exit 1
-  end;
-  if not evasion_flagged then begin
-    Printf.eprintf
-      "FAIL: control-flow evasion app not statically flagged (the static \
-       pass exists to cover exactly this dynamic blind spot)\n";
-    exit 1
-  end;
-  if market_fn > 0 then begin
-    Printf.eprintf "FAIL: %d known-leaky market apps statically missed\n"
-      market_fn;
-    exit 1
-  end;
-  if !verdict_diffs > 0 then begin
-    Printf.eprintf "FAIL: hybrid and both disagree on %d market verdicts\n"
-      !verdict_diffs;
-    exit 1
-  end;
-  if !hybrid_missed > 0 then begin
-    Printf.eprintf "FAIL: hybrid missed %d known-leaky market apps\n"
-      !hybrid_missed;
-    exit 1
-  end;
-  if bundled_detected <> bundled_expected then begin
-    Printf.eprintf "FAIL: hybrid caught %d/%d bundled detections\n"
-      bundled_detected bundled_expected;
-    exit 1
-  end;
-  if !dynamic_not_flagged > 0 || both_dynamic <> !total then begin
-    Printf.eprintf
-      "FAIL: %d hybrid dynamic passes on %d statically flagged apps (%d \
-       mismatched); both ran %d of %d\n"
-      hybrid_dynamic !flagged !dynamic_not_flagged both_dynamic !total;
-    exit 1
-  end
-
-(* --------------------------------------------------------- PIPELINE -- *)
-
-(* The sharded sweep's value on a market corpus is not CPU parallelism (a
-   single app analyzes in microseconds) but straggler isolation: one
-   pathological APK that hangs or kills its analyzer must cost one per-app
-   budget on one worker, not wedge the whole sweep.  At --jobs 1 the
-   injected stragglers' budgets serialize; at --jobs N they overlap, which
-   is where the wall-clock speedup below comes from — on any machine,
-   including this repo's single-core CI runners. *)
-
-let rm_rf_dir dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> ()
-  | names ->
-    Array.iter (fun n -> try Sys.remove (Filename.concat dir n) with Sys_error _ -> ()) names;
-    (try Unix.rmdir dir with Unix.Unix_error _ -> ())
-
-let pipeline () =
-  section
-    "PIPELINE: sharded market sweep - straggler isolation, crash recovery, \
-     caching";
-  let slice = 1200 in
-  let timeout = 0.4 in
-  let jobs_n = max 2 !jobs_flag in
-  let params = Market.scaled slice in
-  let clean_tasks = Task.of_market_slice params in
-  (* deterministic pathology: the same apps hang/crash in every run, so
-     jobs=1 and jobs=N must still produce bit-identical verdicts *)
-  let faulted_tasks =
-    List.map
-      (fun (t : Task.t) ->
-        let fault =
-          if t.Task.t_id mod 149 = 7 then Some Task.Hang
-          else if t.Task.t_id mod 200 = 13 then Some Task.Crash
-          else None
-        in
-        { t with Task.t_fault = fault })
-      clean_tasks
-  in
-  let count f = List.length (List.filter f faulted_tasks) in
-  let hangs = count (fun t -> t.Task.t_fault = Some Task.Hang) in
-  let crashes = count (fun t -> t.Task.t_fault = Some Task.Crash) in
-  Printf.printf
-    "slice: %d apps, %d injected hangs, %d injected crashes, %.1fs per-app \
-     budget\n%!"
-    slice hangs crashes timeout;
-  let run ?cache ?kill_worker_after ~jobs tasks =
-    Pool.run (Pool.config ~jobs ~timeout ?cache ?kill_worker_after ()) tasks
-  in
-  let r1, s1 = run ~jobs:1 faulted_tasks in
-  Printf.printf "--jobs 1: %6.2fs wall  (%d timeouts, %d crashed, %d respawns)\n%!"
-    s1.Pool.s_wall s1.Pool.s_timeouts s1.Pool.s_crashed s1.Pool.s_respawns;
-  let rn, sn = run ~jobs:jobs_n faulted_tasks in
-  Printf.printf
-    "--jobs %d: %6.2fs wall  (%d timeouts, %d crashed, %d respawns, %d steals)\n%!"
-    jobs_n sn.Pool.s_wall sn.Pool.s_timeouts sn.Pool.s_crashed
-    sn.Pool.s_respawns sn.Pool.s_steals;
-  let json_of r = Rj.to_string (Verdict.reports_to_json (Array.to_list r)) in
-  let identical = String.equal (json_of r1) (json_of rn) in
-  let speedup = s1.Pool.s_wall /. sn.Pool.s_wall in
-  Printf.printf "verdicts bit-identical across --jobs: %b\n" identical;
-  Printf.printf "wall-clock speedup from straggler overlap: %.2fx\n%!" speedup;
-  (* fault injection from the outside: SIGKILL a worker mid-sweep and prove
-     the pool neither hangs nor loses a result *)
-  let rk, sk = run ~jobs:jobs_n ~kill_worker_after:100 clean_tasks in
-  let lost =
-    Array.to_list rk |> List.filter (fun r -> r.Verdict.r_app = "?")
-    |> List.length
-  in
-  Printf.printf
-    "injected worker kill: %d killed, %d/%d results, %d lost, %d collateral \
-     crash verdicts, %d respawns\n%!"
-    sk.Pool.s_injected_kills (Array.length rk) slice lost sk.Pool.s_crashed
-    sk.Pool.s_respawns;
-  (* result cache: cold sweep populates, warm sweep answers from disk *)
-  let cache_dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      ("ndroid-bench-cache-" ^ string_of_int (Unix.getpid ()))
-  in
-  rm_rf_dir cache_dir;
-  let cold = P_cache.create ~dir:cache_dir in
-  let rc, sc = run ~jobs:jobs_n ~cache:cold clean_tasks in
-  let warm = P_cache.create ~dir:cache_dir in
-  let rw, sw = run ~jobs:jobs_n ~cache:warm clean_tasks in
-  let cache_identical = String.equal (json_of rc) (json_of rw) in
-  Printf.printf
-    "cache: cold %.2fs (%d hits) -> warm %.2fs (%d hits, %d forked workers)\n%!"
-    sc.Pool.s_wall sc.Pool.s_cache_hits sw.Pool.s_wall sw.Pool.s_cache_hits
-    sw.Pool.s_from_workers;
-  rm_rf_dir cache_dir;
-  (* honesty row: on a clean corpus this machine gains nothing from more
-     jobs (single core, microsecond apps) - the speedup above is from
-     overlapping stragglers, not from CPU parallelism *)
-  let _, c1 = run ~jobs:1 clean_tasks in
-  let _, cn = run ~jobs:jobs_n clean_tasks in
-  Printf.printf "clean corpus (no stragglers): --jobs 1 %.2fs vs --jobs %d %.2fs\n%!"
-    c1.Pool.s_wall jobs_n cn.Pool.s_wall;
-  (* ---- the service: daemon cold/warm throughput, parity, overload ----
-     Both mode makes per-app work big enough (~ms) that cold requests
-     measure analysis, not IPC; the warm pass then shows what the
-     persistent daemon buys — the same slice answered from the
-     in-process warm layer without forking or re-analysis. *)
-  let serve_tasks = Task.of_market_slice ~mode:Task.Both params in
-  let inline_serve = Pool.run_inline serve_tasks in
-  let socket =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ndroid-bench-%d.sock" (Unix.getpid ()))
-  in
-  let with_daemon ?engine ?stream_buf ~depth f =
-    match Unix.fork () with
-    | 0 ->
-      (try
-         ignore
-           (Server.serve
-              (Server.config ~socket ~jobs:jobs_n ~depth ~max_clients:4
-                 ?engine ?stream_buf ()))
-       with _ -> ());
-      Unix._exit 0
-    | pid ->
-      Fun.protect
-        ~finally:(fun () ->
-          (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-          ignore (Unix.waitpid [] pid);
-          try Unix.unlink socket with Unix.Unix_error _ -> ())
-        f
-  in
-  let connect () =
-    match Proto.Client.connect ~retry_for:10.0 socket with
-    | Ok c ->
-      Unix.setsockopt_float (Proto.Client.fd c) Unix.SO_RCVTIMEO 120.0;
-      c
-    | Error e -> failwith ("serve bench: " ^ e)
-  in
-  let submit c (t : Task.t) =
-    Proto.Client.send c
-      (Proto.Submit
-         { sb_req = t.Task.t_id; sb_subject = t.Task.t_subject;
-           sb_mode = t.Task.t_mode; sb_deadline = None;
-           sb_fault = t.Task.t_fault; sb_trace = false })
-  in
-  (* pipelined sweep: all submits up front, then one terminal per request.
-     The loop only terminates when every request is answered — a stalled
-     or lost request trips the socket timeout and fails the bench. *)
-  let sweep c tasks =
-    let n = List.length tasks in
-    let t0 = now () in
-    List.iter (submit c) tasks;
-    let reports = Array.make n None in
-    let cached = ref 0 and sheds = ref 0 in
-    let rec loop remaining =
-      if remaining > 0 then
-        match Proto.Client.recv c with
-        | Error e -> failwith ("serve bench: " ^ e)
-        | Ok (Proto.Verdict v) ->
-          reports.(v.vd_req) <- Some v.vd_report;
-          if v.vd_cached then incr cached;
-          loop (remaining - 1)
-        | Ok (Proto.Shed _) ->
-          incr sheds;
-          loop (remaining - 1)
-        | Ok (Proto.Progress _) -> loop remaining
-        | Ok _ -> failwith "serve bench: unexpected message"
-    in
-    loop n;
-    (reports, !cached, !sheds, now () -. t0)
-  in
-  let ( (_, cold_cached, cold_shed, dt_cold),
-        (warm_reports, warm_cached, warm_shed, dt_warm) ) =
-    with_daemon ~depth:(2 * slice) (fun () ->
-        let c = connect () in
-        let cold = sweep c serve_tasks in
-        let warm = sweep c serve_tasks in
-        Proto.Client.close c;
-        (cold, warm))
-  in
-  let serve_json reports =
-    Rj.to_string
-      (Verdict.reports_to_json
-         (Array.to_list reports |> List.filter_map (fun r -> r)))
-  in
-  let serve_identical =
-    String.equal (json_of inline_serve) (serve_json warm_reports)
-  in
-  let cold_rps = float_of_int slice /. dt_cold in
-  let warm_rps = float_of_int slice /. dt_warm in
-  let warm_cold_ratio = dt_cold /. dt_warm in
-  Printf.printf
-    "serve (both mode): cold %.2fs (%.0f req/s, %d cached) -> warm %.2fs \
-     (%.0f req/s, %d cached), ratio %.1fx\n%!"
-    dt_cold cold_rps cold_cached dt_warm warm_rps warm_cached warm_cold_ratio;
-  Printf.printf "serve verdicts bit-identical to batch analyze: %b\n%!"
-    serve_identical;
-  (* overload: a shallow queue and a flood of uncacheable slow requests.
-     The contract is shed-don't-stall: every request gets its terminal
-     response (the sweep loop completes), the excess gets Shed. *)
-  let overload_tasks =
-    List.map
-      (fun (t : Task.t) -> { t with Task.t_fault = Some (Task.Sleep 0.0005) })
-      serve_tasks
-  in
-  let _, _, overload_shed, dt_overload =
-    with_daemon ~depth:64 (fun () ->
-        let c = connect () in
-        let r = sweep c overload_tasks in
-        Proto.Client.close c;
-        r)
-  in
-  Printf.printf
-    "serve overload (depth 64): %d/%d shed in %.2fs, every request answered\n%!"
-    overload_shed slice dt_overload;
-  (* ---- single-flight: a herd of identical requests costs one analysis.
-     A domain-engine daemon (forked as a child, so the parent may still
-     fork below) takes 32 pipelined submits of one digest: the first
-     queues, the rest coalesce onto it, and the one verdict fans out. *)
-  let sf_n = 32 in
-  let sf_task = List.hd serve_tasks in
-  let sf_coalesced, sf_cached, sf_identical =
-    with_daemon ~engine:Engine.Domains ~depth:64 (fun () ->
-        let c = connect () in
-        for i = 0 to sf_n - 1 do
-          Proto.Client.send c
-            (Proto.Submit
-               { sb_req = i; sb_subject = sf_task.Task.t_subject;
-                 sb_mode = sf_task.Task.t_mode; sb_deadline = None;
-                 sb_fault = None; sb_trace = false })
-        done;
-        let coalesced = ref 0 and cached = ref 0 in
-        let verdicts = ref [] in
-        let rec loop remaining =
-          if remaining > 0 then
-            match Proto.Client.recv c with
-            | Error e -> failwith ("single-flight bench: " ^ e)
-            | Ok (Proto.Verdict v) ->
-              verdicts :=
-                Rj.to_string (Verdict.report_to_json v.vd_report)
-                :: !verdicts;
-              if v.vd_cached then incr cached;
-              loop (remaining - 1)
-            | Ok (Proto.Progress p) ->
-              if p.pg_state = "coalesced" then incr coalesced;
-              loop remaining
-            | Ok (Proto.Shed s) ->
-              failwith ("single-flight bench: shed: " ^ s.sh_reason)
-            | Ok _ -> failwith "single-flight bench: unexpected message"
-        in
-        loop sf_n;
-        Proto.Client.close c;
-        let identical =
-          match !verdicts with
-          | [] -> false
-          | v :: rest -> List.for_all (String.equal v) rest
-        in
-        (!coalesced, !cached, identical))
-  in
-  Printf.printf
-    "single-flight (domains daemon): %d identical submits -> %d coalesced, \
-     %d cached, verdicts identical: %b\n%!"
-    sf_n sf_coalesced sf_cached sf_identical;
-  (* ---- streaming: a live subscriber must not slow the sweep ----
-     Fresh daemon per run (a cold warm layer every time), best of two to
-     damp scheduler noise.  The subscriber is a forked child draining
-     every frame to a JSONL file, so the daemon pays only the fan-out —
-     the thing being measured.  The wedged variant never reads behind a
-     deliberately tiny outbound bound: frames are shed, verdicts are
-     not.  Market apps declare native classes but their synthetic
-     [onCreate] never calls them, so the slice alone streams nothing;
-     a bundled-hybrid suffix (present in every run, subscribed or not,
-     keeping the comparison fair) supplies real JNI crossings for the
-     subscriber to drain. *)
-  let stream_extras =
-    List.mapi
-      (fun k name ->
-        { Task.t_id = slice + k; Task.t_subject = Task.Bundled name;
-          Task.t_mode = Task.Hybrid; Task.t_fault = None })
-      [ "case1"; "case2"; "QQPhoneBook3.5" ]
-  in
-  let stream_tasks = serve_tasks @ stream_extras in
-  let inline_stream = Pool.run_inline stream_tasks in
-  let stream_jsonl =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ndroid-bench-stream-%d.jsonl" (Unix.getpid ()))
-  in
-  let spawn_subscriber ~draining =
-    match Unix.fork () with
-    | 0 ->
-      (try
-         let c = connect () in
-         Proto.Client.send c
-           (Proto.Subscribe { su_cats = []; su_app = None; su_window = 0 });
-         if draining then begin
-           let oc = open_out stream_jsonl in
-           let rec go () =
-             match Proto.Client.recv c with
-             | Error _ -> ()  (* daemon shut down: we are done *)
-             | Ok (Proto.Trace tc) ->
-               List.iter
-                 (fun ev ->
-                   output_string oc (Rj.to_string (Stream.event_json ev));
-                   output_char oc '\n')
-                 tc.Proto.tc_events;
-               go ()
-             | Ok _ -> go ()
-           in
-           go ();
-           close_out oc
-         end
-         else Unix.sleep 3600 (* the deliberately wedged subscriber *)
-       with _ -> ());
-      Unix._exit 0
-    | pid -> pid
-  in
-  let stream_sweep ?stream_buf subscriber =
-    let result, sub =
-      with_daemon ?stream_buf ~depth:(2 * slice) (fun () ->
-          let sub =
-            match subscriber with
-            | `None -> None
-            | `Draining -> Some (spawn_subscriber ~draining:true)
-            | `Wedged -> Some (spawn_subscriber ~draining:false)
-          in
-          (* let the Subscribe frame land before the first dispatch, so
-             every task of the sweep runs tapped *)
-          if sub <> None then Unix.sleepf 0.3;
-          let c = connect () in
-          let reports, _, sheds, dt = sweep c stream_tasks in
-          Proto.Client.close c;
-          ((reports, sheds, dt), sub))
-    in
-    (* the daemon is gone: a draining child exits on EOF, a wedged one
-       needs the kill *)
-    (match sub with
-     | Some pid ->
-       if subscriber = `Wedged then
-         (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-       ignore (Unix.waitpid [] pid)
-     | None -> ());
-    result
-  in
-  let min_by_dt (ra, sa, da) (rb, sb, db) =
-    if da <= db then (ra, sa, da) else (rb, sb, db)
-  in
-  let unsub_r, unsub_shed, dt_unsub =
-    min_by_dt (stream_sweep `None) (stream_sweep `None)
-  in
-  let sub_r, sub_shed, dt_sub =
-    min_by_dt (stream_sweep `Draining) (stream_sweep `Draining)
-  in
-  let slow_r, slow_shed, dt_slow = stream_sweep ~stream_buf:256 `Wedged in
-  let lost_of reports =
-    Array.fold_left (fun n r -> if r = None then n + 1 else n) 0 reports
-  in
-  let line_has affix line =
-    let n = String.length affix and m = String.length line in
-    let rec at i = i + n <= m && (String.sub line i n = affix || at (i + 1)) in
-    at 0
-  in
-  let subscriber_events, subscriber_jni =
-    match open_in stream_jsonl with
-    | exception Sys_error _ -> (0, 0)
-    | ic ->
-      let n = ref 0 and jni = ref 0 in
-      (try
-         while true do
-           let line = input_line ic in
-           incr n;
-           if line_has "\"jni_begin\"" line then incr jni
-         done
-       with End_of_file -> ());
-      close_in ic;
-      (!n, !jni)
-  in
-  (try Unix.unlink stream_jsonl with Unix.Unix_error _ -> ());
-  let stream_identical =
-    String.equal (json_of inline_stream) (serve_json unsub_r)
-    && String.equal (json_of inline_stream) (serve_json sub_r)
-  in
-  let slow_identical =
-    String.equal (json_of inline_stream) (serve_json slow_r)
-  in
-  let stream_lost = lost_of unsub_r + lost_of sub_r + (unsub_shed + sub_shed) in
-  let slow_lost = lost_of slow_r + slow_shed in
-  let overhead_ratio = dt_sub /. dt_unsub in
-  Printf.printf
-    "stream (both mode, live subscriber): unsubscribed %.2fs -> subscribed \
-     %.2fs (%.3fx), %d events drained (%d jni crossings), verdicts \
-     bit-identical: %b\n%!"
-    dt_unsub dt_sub overhead_ratio subscriber_events subscriber_jni
-    stream_identical;
-  Printf.printf
-    "stream (wedged subscriber, 256-byte bound): %.2fs, every verdict \
-     answered: %b, bit-identical: %b\n%!"
-    dt_slow (slow_lost = 0) slow_identical;
-  (* ---- engines: fork vs domains on the clean static slice.  The cold
-     rows carry no cache, so the gap is purely the per-task fork + wire
-     tax the domain engine retires; the warm rows replay the same slice
-     against a populated disk cache (neither engine dispatches).  Every
-     fork in this bench happens above this comment: once the domain rows
-     spawn, this process can never fork again (OCaml 5 forbids it). *)
-  let engine_cache_dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      ("ndroid-bench-engines-" ^ string_of_int (Unix.getpid ()))
-  in
-  rm_rf_dir engine_cache_dir;
-  let e_run ?cache engine =
-    Pool.run (Pool.config ~jobs:jobs_n ?cache ~engine ()) clean_tasks
-  in
-  let ef_cold_r, ef_cold = e_run Engine.Fork in
-  let _ = e_run ~cache:(P_cache.create ~dir:engine_cache_dir) Engine.Fork in
-  let _, ef_warm =
-    e_run ~cache:(P_cache.create ~dir:engine_cache_dir) Engine.Fork
-  in
-  (* no fork below this line *)
-  let ed_cold_r, ed_cold = e_run Engine.Domains in
-  let _, ed_warm =
-    e_run ~cache:(P_cache.create ~dir:engine_cache_dir) Engine.Domains
-  in
-  rm_rf_dir engine_cache_dir;
-  let engines_identical = String.equal (json_of ef_cold_r) (json_of ed_cold_r) in
-  let engines_speedup = ef_cold.Pool.s_wall /. ed_cold.Pool.s_wall in
-  Printf.printf
-    "engines (static, %d apps, %d jobs):\n\
-    \  fork    cold %6.3fs (fork %.3fs, wire %.3fs)  warm %6.3fs\n\
-    \  domains cold %6.3fs (fork %.3fs, wire %.3fs)  warm %6.3fs\n\
-     cold speedup from killing the fork+wire tax: %.2fx\n\
-     verdicts bit-identical across engines: %b\n%!"
-    slice jobs_n ef_cold.Pool.s_wall ef_cold.Pool.s_fork ef_cold.Pool.s_wire
-    ef_warm.Pool.s_wall ed_cold.Pool.s_wall ed_cold.Pool.s_fork
-    ed_cold.Pool.s_wire ed_warm.Pool.s_wall engines_speedup engines_identical;
-  let stats_json (s : Pool.stats) =
-    Rj.Obj
-      [ ("wall_seconds", Rj.Float s.Pool.s_wall);
-        ("engine", Rj.Str s.Pool.s_engine);
-        ("from_workers", Rj.Int s.Pool.s_from_workers);
-        ("cache_hits", Rj.Int s.Pool.s_cache_hits);
-        ("crashed", Rj.Int s.Pool.s_crashed);
-        ("timeouts", Rj.Int s.Pool.s_timeouts);
-        ("respawns", Rj.Int s.Pool.s_respawns);
-        ("steals", Rj.Int s.Pool.s_steals);
-        ("shed", Rj.Int s.Pool.s_shed);
-        ("injected_kills", Rj.Int s.Pool.s_injected_kills);
-        ("evictions", Rj.Int s.Pool.s_evictions);
-        ("cache_pass_seconds", Rj.Float s.Pool.s_cache_pass);
-        ("digest_seconds", Rj.Float s.Pool.s_digest);
-        ("fork_seconds", Rj.Float s.Pool.s_fork);
-        ("wire_seconds", Rj.Float s.Pool.s_wire);
-        ("collect_seconds", Rj.Float s.Pool.s_collect);
-        ("analyze_cpu_seconds", Rj.Float s.Pool.s_analyze_cpu);
-        ("bytecodes", Rj.Int s.Pool.s_bytecodes);
-        ("bytecodes_per_sec",
-         Rj.Float
-           (if s.Pool.s_analyze_cpu > 0.0 then
-              float_of_int s.Pool.s_bytecodes /. s.Pool.s_analyze_cpu
-            else 0.0));
-        ("jni_crossings", Rj.Int s.Pool.s_jni_crossings);
-        ("metrics", s.Pool.s_metrics) ]
-  in
-  let doc =
-    Rj.Obj
-      [ ("experiment", Rj.Str "pipeline");
-        ("slice", Rj.Int slice);
-        ("jobs", Rj.Int jobs_n);
-        ("timeout_seconds", Rj.Float timeout);
-        ("injected_hangs", Rj.Int hangs);
-        ("injected_crashes", Rj.Int crashes);
-        ("straggler_sweep",
-         Rj.Obj
-           [ ("jobs1", stats_json s1);
-             ("jobsN", stats_json sn);
-             ("speedup", Rj.Float speedup);
-             ("bit_identical", Rj.Bool identical) ]);
-        ("worker_kill",
-         Rj.Obj
-           [ ("kill_after", Rj.Int 100);
-             ("results", Rj.Int (Array.length rk));
-             ("lost", Rj.Int lost);
-             ("stats", stats_json sk) ]);
-        ("cache",
-         Rj.Obj
-           [ ("cold", stats_json sc);
-             ("warm", stats_json sw);
-             ("bit_identical", Rj.Bool cache_identical) ]);
-        ("clean_corpus",
-         Rj.Obj [ ("jobs1", stats_json c1); ("jobsN", stats_json cn) ]);
-        ("serve",
-         Rj.Obj
-           [ ("mode", Rj.Str "both");
-             ("requests", Rj.Int slice);
-             ("cold",
-              Rj.Obj
-                [ ("seconds", Rj.Float dt_cold);
-                  ("requests_per_sec", Rj.Float cold_rps);
-                  ("cached", Rj.Int cold_cached);
-                  ("shed", Rj.Int cold_shed) ]);
-             ("warm",
-              Rj.Obj
-                [ ("seconds", Rj.Float dt_warm);
-                  ("requests_per_sec", Rj.Float warm_rps);
-                  ("cached", Rj.Int warm_cached);
-                  ("shed", Rj.Int warm_shed) ]);
-             ("warm_cold_ratio", Rj.Float warm_cold_ratio);
-             ("bit_identical", Rj.Bool serve_identical);
-             ("overload",
-              Rj.Obj
-                [ ("depth", Rj.Int 64);
-                  ("requests", Rj.Int slice);
-                  ("seconds", Rj.Float dt_overload);
-                  ("shed", Rj.Int overload_shed);
-                  ("lost", Rj.Int 0) ]) ]);
-        ("single_flight",
-         Rj.Obj
-           [ ("engine", Rj.Str "domains");
-             ("requests", Rj.Int sf_n);
-             ("coalesced", Rj.Int sf_coalesced);
-             ("cached", Rj.Int sf_cached);
-             ("identical", Rj.Bool sf_identical) ]);
-        ("stream",
-         Rj.Obj
-           [ ("mode", Rj.Str "both");
-             ("requests", Rj.Int (List.length stream_tasks));
-             ("unsubscribed_seconds", Rj.Float dt_unsub);
-             ("subscribed_seconds", Rj.Float dt_sub);
-             ("overhead_ratio", Rj.Float overhead_ratio);
-             ("subscriber_events", Rj.Int subscriber_events);
-             ("subscriber_jni_crossings", Rj.Int subscriber_jni);
-             ("bit_identical", Rj.Bool stream_identical);
-             ("lost", Rj.Int stream_lost);
-             ("slow_subscriber",
-              Rj.Obj
-                [ ("stream_buf", Rj.Int 256);
-                  ("seconds", Rj.Float dt_slow);
-                  ("bit_identical", Rj.Bool slow_identical);
-                  ("lost", Rj.Int slow_lost) ]) ]);
-        ("engines",
-         Rj.Obj
-           [ ("mode", Rj.Str "static");
-             ("requests", Rj.Int slice);
-             ("fork",
-              Rj.Obj
-                [ ("cold", stats_json ef_cold); ("warm", stats_json ef_warm) ]);
-             ("domains",
-              Rj.Obj
-                [ ("cold", stats_json ed_cold); ("warm", stats_json ed_warm) ]);
-             ("cold_speedup", Rj.Float engines_speedup);
-             ("bit_identical", Rj.Bool engines_identical) ]) ]
-  in
-  let oc = open_out "BENCH_pipeline.json" in
-  output_string oc (Rj.to_string_hum doc);
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_pipeline.json\n";
-  let fail msg =
-    Printf.eprintf "FAIL: %s\n" msg;
-    exit 1
-  in
-  if not identical then
-    fail "verdicts differ between --jobs 1 and --jobs N";
-  (* the acceptance bar: >= 2.5x at 4 jobs.  Two workers can at best halve
-     the serialized straggler budgets, so scale the bar below that. *)
-  let required = if jobs_n >= 4 then 2.5 else 1.5 in
-  if speedup < required then
-    fail
-      (Printf.sprintf "straggler speedup %.2fx < %.1fx at %d jobs" speedup
-         required jobs_n);
-  if sk.Pool.s_injected_kills <> 1 then fail "worker kill was not injected";
-  if lost > 0 then
-    fail (Printf.sprintf "%d results lost after injected worker kill" lost);
-  if Array.length rk <> slice then fail "missing results after worker kill";
-  if sw.Pool.s_cache_hits <> slice then
-    fail
-      (Printf.sprintf "warm cache answered %d/%d from disk"
-         sw.Pool.s_cache_hits slice);
-  if not cache_identical then fail "cached reports differ from computed ones";
-  (* the service bars *)
-  if not serve_identical then
-    fail "serve verdicts differ from batch analyze";
-  if cold_shed + warm_shed > 0 then
-    fail
-      (Printf.sprintf "daemon shed %d requests at nominal load"
-         (cold_shed + warm_shed));
-  if warm_cached <> slice then
-    fail
-      (Printf.sprintf "warm serve answered %d/%d from the warm layer"
-         warm_cached slice);
-  if warm_rps < 1000.0 then
-    fail
-      (Printf.sprintf "warm serve throughput %.0f req/s < 1000 req/s"
-         warm_rps);
-  if overload_shed = 0 then
-    fail "overload run shed nothing (depth bound did not engage)";
-  (* the engine bars *)
-  if not engines_identical then
-    fail "fork and domain engines produced different verdicts";
-  if engines_speedup < 2.0 then
-    fail
-      (Printf.sprintf
-         "domain engine cold speedup %.2fx < 2.0x over the forked engine"
-         engines_speedup);
-  if sf_coalesced = 0 then
-    fail "single-flight coalesced nothing (identical submits each ran)";
-  if not sf_identical then
-    fail "single-flight verdicts differ across waiters";
-  (* the streaming bars *)
-  if not stream_identical then
-    fail "live-subscribed sweep changed the verdicts";
-  if stream_lost > 0 then
-    fail
-      (Printf.sprintf "%d analyses lost or shed under a live subscriber"
-         stream_lost);
-  if subscriber_events = 0 then
-    fail "the draining subscriber saw no trace events";
-  if overhead_ratio > 1.05 then
-    fail
-      (Printf.sprintf "live subscriber overhead %.3fx > 1.05x"
-         overhead_ratio);
-  if not slow_identical then
-    fail "wedged subscriber changed the verdicts";
-  if slow_lost > 0 then
-    fail
-      (Printf.sprintf "%d analyses lost or shed behind a wedged subscriber"
-         slow_lost)
-
 (* ------------------------------------------------- Bechamel micro-suite -- *)
 
 let micro () =
@@ -1675,376 +644,13 @@ let micro () =
         results)
     tests
 
-(* ------------------------------------------------------------ DALVIK -- *)
-
-module Interp = Ndroid_dalvik.Interp
-
-(* Dalvik hot-path throughput: the resolve-once fast path (pre-linked code,
-   memoized vtables/layouts, inline caches, pooled frames) against the seed
-   interpreter kept verbatim as [Interp.invoke_reference].  Two workloads:
-   a Java-heavy loop where resolution caches matter (invokes, virtual
-   dispatch, field + static traffic) and a JNI-crossing loop that churns the
-   pooled call-bridge marshaling.  Honest rows: taint-on (the NDroid
-   configuration) and taint-off (vanilla). *)
-
-let dk_cls = "Lcom/bench/DalvikHot;"
-let dk_iterations = 20_000
-
-let dk_classes () =
-  let fa = { B.f_class = dk_cls; f_name = "a" } in
-  let fb = { B.f_class = dk_cls; f_name = "b" } in
-  let fs = { B.f_class = dk_cls; f_name = "s" } in
-  (* a realistic class body: dex classes carry dozens of methods and fields,
-     and the seed resolver scans those lists on every invoke / field access.
-     The hot members sit at the end, where a linear scan pays full price. *)
-  let filler_methods =
-    List.init 24 (fun i ->
-        J.method_ ~cls:dk_cls ~name:(Printf.sprintf "m%02d" i) ~shorty:"I"
-          ~registers:2
-          [ J.I (B.Const (0, Dvalue.Int (Int32.of_int i))); J.I (B.Return 0) ])
-  in
-  let filler_fields = List.init 10 (fun i -> Printf.sprintf "p%d" i) in
-  let leaf =
-    J.method_ ~cls:dk_cls ~name:"leaf" ~shorty:"II" ~registers:4
-      [ J.I (B.Binop_lit (B.Add, 0, 3, 1l)); J.I (B.Return 0) ]
-  in
-  let vgetf =
-    J.method_ ~cls:dk_cls ~name:"vgetf" ~shorty:"I" ~static:false ~registers:4
-      [ J.I (B.Iget (0, 3, fa)); J.I (B.Return 0) ]
-  in
-  let work =
-    J.method_ ~cls:dk_cls ~name:"work" ~shorty:"II" ~registers:10
-      [ J.I (B.Const (0, Dvalue.Int 0l));
-        J.I (B.New_instance (1, dk_cls));
-        J.I (B.Iput (9, 1, fa));
-        (* a tainted argument taints field a, so taint-on rows really pay
-           for propagation through the whole loop *)
-        J.I (B.Iput (0, 1, fb));
-        J.I (B.Move (2, 9));
-        J.L "loop";
-        J.Ifz_l (B.Le, 2, "done");
-        J.I (B.Invoke (B.Static, { B.m_class = dk_cls; m_name = "leaf" }, [ 0 ]));
-        J.I (B.Move_result 0);
-        J.I (B.Invoke (B.Virtual, { B.m_class = dk_cls; m_name = "vgetf" }, [ 1 ]));
-        J.I (B.Move_result 3);
-        J.I (B.Binop (B.Add, 0, 0, 3));
-        J.I (B.Iget (4, 1, fb));
-        J.I (B.Binop (B.Add, 4, 4, 3));
-        J.I (B.Iput (4, 1, fb));
-        J.I (B.Sget (5, fs));
-        J.I (B.Binop_lit (B.Add, 5, 5, 3l));
-        J.I (B.Sput (5, fs));
-        J.I (B.Binop_lit (B.Sub, 2, 2, 1l));
-        J.Goto_l "loop";
-        J.L "done";
-        J.I (B.Return 0) ]
-  in
-  [ J.class_ ~name:dk_cls
-      ~fields:(filler_fields @ [ "a"; "b" ])
-      ~static_fields:[ "s" ]
-      (filler_methods @ [ leaf; vgetf; work ]) ]
-
-(* (bytecodes per run, median seconds, bytecodes/sec) *)
-let dk_measure ?obs invoke ~track ~taint =
-  let vm = Vm.create () in
-  List.iter (Vm.define_class vm) (dk_classes ());
-  (match obs with Some ring -> vm.Vm.obs <- ring | None -> ());
-  vm.Vm.track_taint <- track;
-  let m = Vm.find_method vm dk_cls "work" in
-  let arg = (Dvalue.Int (Int32.of_int dk_iterations), taint) in
-  let b0 = vm.Vm.counters.Vm.bytecodes in
-  ignore (invoke vm m [| arg |]);
-  let per_run = vm.Vm.counters.Vm.bytecodes - b0 in
-  let dt = time_median (fun () -> ignore (invoke vm m [| arg |])) in
-  (per_run, dt, float_of_int per_run /. dt)
-
-let dk_jni_cls = "Lcom/bench/DalvikJni;"
-let dk_jni_iterations = 6_000
-
-let dk_jni_app : H.app =
-  { H.app_name = "dalvik-jni-bench";
-    app_case = "bench";
-    description = "JNI crossing churn through the pooled call bridge";
-    classes =
-      [ J.class_ ~name:dk_jni_cls
-          [ J.native_method ~cls:dk_jni_cls ~name:"nadd" ~shorty:"II" "nadd";
-            J.method_ ~cls:dk_jni_cls ~name:"cross" ~shorty:"II" ~registers:6
-              [ J.L "loop";
-                J.Ifz_l (B.Le, 5, "done");
-                J.I
-                  (B.Invoke
-                     (B.Static, { B.m_class = dk_jni_cls; m_name = "nadd" },
-                      [ 5 ]));
-                J.I (B.Move_result 0);
-                J.I (B.Binop_lit (B.Sub, 5, 5, 1l));
-                J.Goto_l "loop";
-                J.L "done";
-                J.I (B.Return 5) ] ] ];
-    build_libs =
-      (fun extern ->
-        let open Asm in
-        (* static native: r0 = JNIEnv*, r1 = class, r2 = first argument *)
-        let items =
-          [ Label "nadd";
-            I (Insn.mov 0 (Insn.Reg 2));
-            I (Insn.add 0 0 (Insn.Imm 1));
-            I Insn.bx_lr ]
-        in
-        [ ("dalvikjni", assemble ~extern ~base:Layout.app_lib_base items) ]);
-    entry = (dk_jni_cls, "cross");
-    expected_sink = "" }
-
-(* (crossings per run, bytecodes per run, median seconds, device) *)
-let dk_measure_jni ?(summaries = false) invoke =
-  let device = H.boot dk_jni_app in
-  if summaries then Device.set_use_summaries device true;
-  let vm = Device.vm device in
-  let m = Vm.find_method vm dk_jni_cls "cross" in
-  let arg = (Dvalue.Int (Int32.of_int dk_jni_iterations), Taint.clear) in
-  let c0 = vm.Vm.counters.Vm.native_calls in
-  let b0 = vm.Vm.counters.Vm.bytecodes in
-  ignore (invoke vm m [| arg |]);
-  let crossings = vm.Vm.counters.Vm.native_calls - c0 in
-  let per_run = vm.Vm.counters.Vm.bytecodes - b0 in
-  let dt = time_median (fun () -> ignore (invoke vm m [| arg |])) in
-  (crossings, per_run, dt, device)
-
-(* A loopy native body: the JNI bridge cost is amortized away, so what is
-   measured is the native execution loop itself — per-instruction traced
-   versus superblock-translated with fused taint transfers.  The body has
-   control flow, so the summary path must reject it (no silent wrong
-   answers from summaries on loops). *)
-
-let dk_sb_cls = "Lcom/bench/SbLoop;"
-let dk_sb_iterations = 1_500
-
-let dk_sb_app : H.app =
-  { H.app_name = "superblock-bench";
-    app_case = "bench";
-    description = "loopy native body under superblock translation";
-    classes =
-      [ J.class_ ~name:dk_sb_cls
-          [ J.native_method ~cls:dk_sb_cls ~name:"nloop" ~shorty:"II" "nloop";
-            J.method_ ~cls:dk_sb_cls ~name:"cross" ~shorty:"II" ~registers:6
-              [ J.L "loop";
-                J.Ifz_l (B.Le, 5, "done");
-                J.I
-                  (B.Invoke
-                     (B.Static, { B.m_class = dk_sb_cls; m_name = "nloop" },
-                      [ 5 ]));
-                J.I (B.Move_result 0);
-                J.I (B.Binop_lit (B.Sub, 5, 5, 1l));
-                J.Goto_l "loop";
-                J.L "done";
-                J.I (B.Return 5) ] ] ];
-    build_libs =
-      (fun extern ->
-        let open Asm in
-        let items =
-          [ Label "nloop";
-            I (Insn.mov 0 (Insn.Reg 2));
-            I (Insn.mov 2 (Insn.Imm 32));
-            Label "nl_body";
-            I (Insn.add 0 0 (Insn.Imm 3));
-            I (Insn.eor 3 0 (Insn.Reg 2));
-            I (Insn.add 0 0 (Insn.Reg 3));
-            I (Insn.subs 2 2 (Insn.Imm 1));
-            Br (Insn.NE, "nl_body");
-            I Insn.bx_lr ]
-        in
-        [ ("sbloop", assemble ~extern ~base:Layout.app_lib_base items) ]);
-    entry = (dk_sb_cls, "cross");
-    expected_sink = "" }
-
-(* (median seconds, final NDroid stats) *)
-let dk_measure_sb ~superblocks =
-  let device = H.boot dk_sb_app in
-  let nd = Ndroid.attach ~use_superblocks:superblocks device in
-  (* isolate the native loop from the simulated bridge charge (as A3) *)
-  Machine.set_host_fn_work (Device.machine device) 0;
-  let vm = Device.vm device in
-  let m = Vm.find_method vm dk_sb_cls "cross" in
-  let arg = (Dvalue.Int (Int32.of_int dk_sb_iterations), Taint.clear) in
-  let dt = time_median (fun () -> ignore (Interp.invoke vm m [| arg |])) in
-  (dt, Ndroid.stats nd)
-
-let dalvik () =
-  section "DALVIK: resolve-once fast path vs seed interpreter";
-  let row name (bytecodes, dt, rate) =
-    Printf.printf "%-28s %12d %10.4f %14.0f\n%!" name bytecodes dt rate
-  in
-  Printf.printf "%-28s %12s %10s %14s\n" "configuration" "bytecodes" "seconds"
-    "bytecodes/sec";
-  let ref_on = dk_measure Interp.invoke_reference ~track:true ~taint:Taint.imei in
-  let ref_off = dk_measure Interp.invoke_reference ~track:false ~taint:Taint.clear in
-  let fast_on = dk_measure Interp.invoke ~track:true ~taint:Taint.imei in
-  let fast_off = dk_measure Interp.invoke ~track:false ~taint:Taint.clear in
-  row "reference, taint on" ref_on;
-  row "reference, taint off" ref_off;
-  row "fast, taint on" fast_on;
-  row "fast, taint off" fast_off;
-  let rate (_, _, r) = r in
-  let speedup_on = rate fast_on /. rate ref_on in
-  let speedup_off = rate fast_off /. rate ref_off in
-  Printf.printf "java-heavy speedup: %.2fx taint-on, %.2fx taint-off\n%!"
-    speedup_on speedup_off;
-  (* observability overhead: a live events hub attached to the VM but with
-     span tracing off — the production shape for `ndroid analyze` without
-     --trace — must stay within 10% of the plain taint-on fast path *)
-  let obs_ring = Ndroid_obs.Ring.create ~capacity:4096 () in
-  let obs_on = dk_measure ~obs:obs_ring Interp.invoke ~track:true ~taint:Taint.imei in
-  row "fast, taint on, obs ring" obs_on;
-  let obs_ratio = rate obs_on /. rate fast_on in
-  Printf.printf "obs-ring throughput ratio (events compiled in, tracing off): %.3f\n%!"
-    obs_ratio;
-  let jref = dk_measure_jni Interp.invoke_reference in
-  let jfast = dk_measure_jni Interp.invoke in
-  let jsum = dk_measure_jni ~summaries:true Interp.invoke in
-  let jni_row name (crossings, bytecodes, dt, _) =
-    Printf.printf "%-28s %8d crossings %8d bytecodes %8.4fs %12.0f crossings/sec\n%!"
-      name crossings bytecodes dt
-      (float_of_int crossings /. dt)
-  in
-  jni_row "jni reference" jref;
-  jni_row "jni fast (emulated body)" jfast;
-  jni_row "jni summary path" jsum;
-  let time (_, _, dt, _) = dt in
-  let crossings_of (c, _, _, _) = c in
-  let dev_of (_, _, _, d) = d in
-  let seed_jni_speedup = time jref /. time jfast in
-  (* the split: per crossing, the summary path still pays marshaling (plus
-     the summary application itself), so its per-crossing time IS the
-     marshal cost; what it no longer pays — the emulated native body and
-     its bridge — is the difference against the full-emulation fast path *)
-  let crossings_f = float_of_int (crossings_of jfast) in
-  let us_per_crossing dt = dt /. crossings_f *. 1e6 in
-  let fast_us = us_per_crossing (time jfast) in
-  let marshal_us = us_per_crossing (time jsum) in
-  let native_body_us = fast_us -. marshal_us in
-  let jni_speedup = time jfast /. time jsum in
-  let sum_applied = Device.summaries_applied (dev_of jsum) in
-  let sum_rejected = Device.summaries_rejected (dev_of jsum) in
-  Printf.printf
-    "per crossing: %.3fus total emulated = %.3fus marshal + %.3fus native \
-     body\n"
-    fast_us marshal_us native_body_us;
-  Printf.printf "summaries applied: %d, rejected: %d\n" sum_applied sum_rejected;
-  Printf.printf "jni-crossing speedup (summary vs emulated body): %.2fx\n%!"
-    jni_speedup;
-  (* superblock translation on a loopy native body, against the same
-     configuration tracing per instruction *)
-  let sb_off_dt, _ = dk_measure_sb ~superblocks:false in
-  let sb_on_dt, sb_stats = dk_measure_sb ~superblocks:true in
-  let sb_speedup = sb_off_dt /. sb_on_dt in
-  Printf.printf
-    "superblock loopy body: per-insn %.4fs vs superblock %.4fs (%.2fx; %d \
-     compiled, %d hits, %d invalidated)\n%!"
-    sb_off_dt sb_on_dt sb_speedup sb_stats.Ndroid.sb_compiles
-    sb_stats.Ndroid.sb_hits sb_stats.Ndroid.sb_invalidations;
-  let row_json (bytecodes, dt, rate) =
-    Rj.Obj
-      [ ("bytecodes", Rj.Int bytecodes); ("seconds", Rj.Float dt);
-        ("bytecodes_per_sec", Rj.Float rate) ]
-  in
-  let jni_json (crossings, bytecodes, dt, _) =
-    Rj.Obj
-      [ ("jni_crossings", Rj.Int crossings); ("bytecodes", Rj.Int bytecodes);
-        ("seconds", Rj.Float dt);
-        ("crossings_per_sec", Rj.Float (float_of_int crossings /. dt)) ]
-  in
-  let doc =
-    Rj.Obj
-      [ ("experiment", Rj.Str "dalvik");
-        ("java_heavy_iterations", Rj.Int dk_iterations);
-        ("jni_iterations", Rj.Int dk_jni_iterations);
-        ("java_heavy",
-         Rj.Obj
-           [ ("reference",
-              Rj.Obj [ ("taint_on", row_json ref_on); ("taint_off", row_json ref_off) ]);
-             ("fast",
-              Rj.Obj [ ("taint_on", row_json fast_on); ("taint_off", row_json fast_off) ]);
-             ("speedup_taint_on", Rj.Float speedup_on);
-             ("speedup_taint_off", Rj.Float speedup_off) ]);
-        ("jni_crossing",
-         Rj.Obj
-           [ ("reference", jni_json jref); ("fast", jni_json jfast);
-             ("summary_path", jni_json jsum);
-             ("per_crossing_us",
-              Rj.Obj
-                [ ("total_emulated", Rj.Float fast_us);
-                  ("marshal", Rj.Float marshal_us);
-                  ("native_body", Rj.Float native_body_us) ]);
-             ("counters",
-              Rj.Obj
-                [ ("summaries_applied", Rj.Int sum_applied);
-                  ("summaries_rejected", Rj.Int sum_rejected) ]);
-             ("seed_speedup", Rj.Float seed_jni_speedup);
-             ("speedup", Rj.Float jni_speedup) ]);
-        ("superblock",
-         Rj.Obj
-           [ ("iterations", Rj.Int dk_sb_iterations);
-             ("per_insn_seconds", Rj.Float sb_off_dt);
-             ("superblock_seconds", Rj.Float sb_on_dt);
-             ("speedup", Rj.Float sb_speedup);
-             ("counters",
-              Rj.Obj
-                [ ("sb_compiles", Rj.Int sb_stats.Ndroid.sb_compiles);
-                  ("sb_hits", Rj.Int sb_stats.Ndroid.sb_hits);
-                  ("sb_invalidations", Rj.Int sb_stats.Ndroid.sb_invalidations)
-                ]) ]);
-        ("obs_overhead",
-         Rj.Obj
-           [ ("baseline_taint_on", row_json fast_on);
-             ("obs_ring_taint_on", row_json obs_on);
-             ("throughput_ratio", Rj.Float obs_ratio) ]) ]
-  in
-  let oc = open_out "BENCH_dalvik.json" in
-  output_string oc (Rj.to_string_hum doc);
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_dalvik.json\n";
-  let fail msg =
-    Printf.eprintf "FAIL: %s\n" msg;
-    exit 1
-  in
-  (* acceptance bar: the resolve-once fast path must clear 3x over the seed
-     interpreter on the Java-heavy workload, tracking on *)
-  if speedup_on < 3.0 then
-    fail (Printf.sprintf "java-heavy taint-on speedup %.2fx < 3.0x" speedup_on);
-  let identical (b1, _, _) (b2, _, _) = b1 = b2 in
-  if not (identical ref_on fast_on && identical ref_off fast_off) then
-    fail "fast path executed a different bytecode count than the reference";
-  (* the summary path must answer every crossing (this body is exact), run
-     the same bytecode stream, and clear 3x over full emulation *)
-  let jni_identical (c1, b1, _, _) (c2, b2, _, _) = c1 = c2 && b1 = b2 in
-  if not (jni_identical jfast jsum && jni_identical jref jfast) then
-    fail "summary path changed the crossing or bytecode count";
-  if sum_applied = 0 || sum_rejected > 0 then
-    fail
-      (Printf.sprintf "summary path: %d applied, %d rejected on an exact body"
-         sum_applied sum_rejected);
-  if jni_speedup < 3.0 then
-    fail
-      (Printf.sprintf "jni-crossing summary speedup %.2fx < 3.0x" jni_speedup);
-  if sb_stats.Ndroid.sb_compiles = 0 || sb_stats.Ndroid.sb_hits = 0 then
-    fail "superblock path compiled or reused no blocks on the loopy body";
-  (* events compiled into the loop must be ~free while tracing is off *)
-  if not (identical fast_on obs_on) then
-    fail "attaching the obs ring changed the executed bytecode count";
-  if obs_ratio < 0.90 then
-    fail
-      (Printf.sprintf
-         "obs-ring throughput ratio %.3f < 0.90 (events-off overhead > 10%%)"
-         obs_ratio)
-
 (* ------------------------------------------------------------- driver -- *)
 
 let all_experiments =
   [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
     ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
     ("e12", e12); ("e13", e13); ("e14", e14); ("a1", a1); ("a2", a2);
-    ("a3", a3); ("perf", perf); ("static", static); ("pipeline", pipeline);
-    ("micro", micro); ("dalvik", dalvik) ]
+    ("a3", a3); ("micro", micro) ]
 
 let () =
   Printf.printf
@@ -2053,18 +659,6 @@ let () =
      Applications, DSN 2014\n"
     Sys.ocaml_version;
   let args = List.tl (Array.to_list Sys.argv) in
-  let rec split_jobs acc = function
-    | [] -> List.rev acc
-    | "--jobs" :: n :: rest | "-j" :: n :: rest ->
-      jobs_flag := int_of_string n;
-      split_jobs acc rest
-    | arg :: rest when String.length arg > 7 && String.sub arg 0 7 = "--jobs=" ->
-      jobs_flag :=
-        int_of_string (String.sub arg 7 (String.length arg - 7));
-      split_jobs acc rest
-    | arg :: rest -> split_jobs (arg :: acc) rest
-  in
-  let args = split_jobs [] args in
   let selected =
     match args with [] -> List.map fst all_experiments | names -> names
   in

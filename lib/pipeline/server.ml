@@ -129,13 +129,16 @@ let serve cfg =
   (try Unix.unlink cfg.s_socket with Unix.Unix_error _ -> ());
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX cfg.s_socket);
-  Unix.listen listen_fd 64;
-  Unix.set_nonblock listen_fd;
   let stop = ref false in
   let stoppable s = Sys.signal s (Sys.Signal_handle (fun _ -> stop := true)) in
   let prev_term = stoppable Sys.sigterm in
   let prev_int = stoppable Sys.sigint in
   let prev_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  (* listen only once SIGTERM is handled: a client may stop the daemon as
+     soon as its connect succeeds, and that stop must take the orderly
+     path below, not the default action that kills the process *)
+  Unix.listen listen_fd 64;
+  Unix.set_nonblock listen_fd;
   let should_stop () =
     !stop || (match cfg.s_stop with Some f -> f () | None -> false)
   in

@@ -2,7 +2,8 @@
    the seed reference interpreter ([Interp.invoke_reference]) and the
    pre-linked fast path ([Interp.invoke]) on two fresh, identical VMs.
    Values, taints, heap state, statics, thrown exceptions and the
-   bytecodes/invokes counters must all agree. *)
+   bytecodes/invokes counters must all agree, and a third VM with an obs
+   ring attached must run the fast path's bytecodes. *)
 
 module Vm = Ndroid_dalvik.Vm
 module Interp = Ndroid_dalvik.Interp
@@ -284,6 +285,15 @@ let differential ~track c =
   check "invoke count"
     (string_of_int vm_ref.Vm.counters.Vm.invokes)
     (string_of_int vm_fast.Vm.counters.Vm.invokes);
+  (* an attached obs ring with tracing off (`ndroid analyze` without
+     --trace) executes exactly what the plain fast path does *)
+  let vm_obs = fresh_vm main ~track in
+  vm_obs.Vm.obs <- Ndroid_obs.Ring.create ~capacity:4096 ();
+  let oo = run_one Interp.invoke vm_obs (Vm.find_method vm_obs gen_cls "main") arg in
+  check "outcome (obs ring)" (outcome_str vm_fast fo) (outcome_str vm_obs oo);
+  check "bytecode count (obs ring)"
+    (string_of_int vm_fast.Vm.counters.Vm.bytecodes)
+    (string_of_int vm_obs.Vm.counters.Vm.bytecodes);
   true
 
 let prop_differential_taint_on =

@@ -469,6 +469,39 @@ let test_stream_differential_domains_half () =
         (List.nth reference i) (List.nth streams i))
     stream_apps
 
+(* every task submitted on one connection; the verdicts, by task id *)
+let verdicts_of_daemon socket (tasks : Task.t list) =
+  let c =
+    match Proto.Client.connect ~retry_for:10.0 socket with
+    | Ok c ->
+      Unix.setsockopt_float (Proto.Client.fd c) Unix.SO_RCVTIMEO 30.0;
+      c
+    | Error e -> Alcotest.failf "connect: %s" e
+  in
+  List.iter
+    (fun (t : Task.t) ->
+      Proto.Client.send c
+        (Proto.Submit
+           { sb_req = t.Task.t_id; sb_subject = t.Task.t_subject;
+             sb_mode = t.Task.t_mode; sb_deadline = None; sb_fault = None;
+             sb_trace = false }))
+    tasks;
+  let got = Array.make (List.length tasks) None in
+  let rec collect remaining =
+    if remaining > 0 then
+      match Proto.Client.recv c with
+      | Error e -> Alcotest.failf "recv: %s" e
+      | Ok (Proto.Verdict v) ->
+        got.(v.vd_req) <- Some v.vd_report;
+        collect (remaining - 1)
+      | Ok (Proto.Progress _) -> collect remaining
+      | Ok (Proto.Shed s) -> Alcotest.failf "shed: %s" s.sh_reason
+      | Ok _ -> Alcotest.fail "unexpected message"
+  in
+  collect (List.length tasks);
+  Proto.Client.close c;
+  Array.map Option.get got
+
 let test_slow_subscriber_sheds_not_stalls () =
   (* a subscriber that never reads, behind a deliberately tiny outbound
      bound: every analysis still completes, verdicts stay bit-identical to
@@ -495,37 +528,9 @@ let test_slow_subscriber_sheds_not_stalls () =
           (Proto.Subscribe { su_cats = []; su_app = None; su_window = 0 });
         (* the subscriber never reads again; its frames cannot fit the
            256-byte bound and must be shed *)
-        let c =
-          match Proto.Client.connect ~retry_for:10.0 socket with
-          | Ok c ->
-            Unix.setsockopt_float (Proto.Client.fd c) Unix.SO_RCVTIMEO 30.0;
-            c
-          | Error e -> Alcotest.failf "connect: %s" e
-        in
-        List.iter
-          (fun (t : Task.t) ->
-            Proto.Client.send c
-              (Proto.Submit
-                 { sb_req = t.Task.t_id; sb_subject = t.Task.t_subject;
-                   sb_mode = t.Task.t_mode; sb_deadline = None;
-                   sb_fault = None; sb_trace = false }))
-          tasks;
-        let got = Array.make (List.length tasks) "" in
-        let rec collect remaining =
-          if remaining > 0 then
-            match Proto.Client.recv c with
-            | Error e -> Alcotest.failf "recv: %s" e
-            | Ok (Proto.Verdict v) ->
-              got.(v.vd_req) <- report_json v.vd_report;
-              collect (remaining - 1)
-            | Ok (Proto.Progress _) -> collect remaining
-            | Ok (Proto.Shed s) -> Alcotest.failf "shed: %s" s.sh_reason
-            | Ok _ -> Alcotest.fail "unexpected message"
-        in
-        collect (List.length tasks);
-        Proto.Client.close c;
+        let got = verdicts_of_daemon socket tasks in
         Proto.Client.close sub;
-        got)
+        Array.map report_json got)
   in
   List.iteri
     (fun i e ->
@@ -538,6 +543,38 @@ let test_slow_subscriber_sheds_not_stalls () =
   Alcotest.(check bool) "undeliverable frames shed and counted" true
     (st.Server.sv_trace_lost > 0);
   Alcotest.(check int) "one subscriber" 1 st.Server.sv_subscribers
+
+(* With no subscriber and no trace flag, nobody listens, so no worker taps
+   its ring: a Both-mode slice whose bundled apps cross JNI (and would
+   stream events to any listener) leaves the daemon's tap count at zero *)
+let test_unsubscribed_daemon_taps_nothing () =
+  let market = slice ~mode:Task.Both 40 in
+  let n = List.length market in
+  let tasks =
+    market
+    @ List.mapi
+        (fun i name ->
+          { Task.t_id = n + i; t_subject = Task.Bundled name;
+            t_mode = Task.Both; t_fault = None })
+        [ "case1"; "QQPhoneBook3.5" ]
+  in
+  let st, reports =
+    with_domains_daemon ~jobs:2 "untapped" (fun socket ->
+        verdicts_of_daemon socket tasks)
+  in
+  List.iter
+    (fun i ->
+      let r = reports.(i) in
+      Alcotest.(check bool)
+        (r.Verdict.r_app ^ " crossed JNI")
+        true
+        (match List.assoc_opt "dynamic_jni_crossings" r.Verdict.r_meta with
+         | Some (Json.Int c) -> c > 0
+         | _ -> false))
+    [ n; n + 1 ];
+  Alcotest.(check int) "every request served" (List.length tasks)
+    st.Server.sv_served;
+  Alcotest.(check int) "no event tapped" 0 st.Server.sv_trace_events
 
 let suite =
   [ Alcotest.test_case "daemon: fork engine streams (differential, half 1)"
@@ -564,4 +601,6 @@ let suite =
       "daemon: both engines stream identical events (differential, half 2)"
       `Quick test_stream_differential_domains_half;
     Alcotest.test_case "daemon: slow subscriber sheds, never stalls" `Quick
-      test_slow_subscriber_sheds_not_stalls ]
+      test_slow_subscriber_sheds_not_stalls;
+    Alcotest.test_case "daemon: no listener, no tap" `Quick
+      test_unsubscribed_daemon_taps_nothing ]

@@ -7,7 +7,10 @@
 
    Plus deterministic regressions for self-modifying code: a runtime
    write into a translated code page must invalidate the superblock and
-   reject the library's summaries, falling back to emulation. *)
+   reject the library's summaries, falling back to emulation.  And the
+   static analyzer's side of Table V: on random bodies its taint must
+   cover the per-instruction tracer's; and the counts of the summary and
+   superblock paths on JNI-crossing loops. *)
 
 module Taint = Ndroid_taint.Taint
 module Insn = Ndroid_arm.Insn
@@ -335,6 +338,153 @@ let test_summary_cache_roundtrip () =
   | names -> Array.iter (fun n -> Sys.remove (Filename.concat dir n)) names
   | exception Sys_error _ -> ()
 
+(* ---------------- static covers dynamic, per instruction ---------------- *)
+
+let with_cond cond = function
+  | Insn.Dp d -> Insn.Dp { d with cond }
+  | Insn.Mem m -> Insn.Mem { m with cond }
+  | i -> i
+
+(* the bodies above, plus byte loads/stores and conditional execution *)
+let law_case_gen =
+  let open QCheck.Gen in
+  let byte_mem =
+    oneof
+      [ map2 (fun r o -> Insn.ldrb r 10 o) reg_gen (int_range 0 63);
+        map2 (fun r o -> Insn.strb r 10 o) reg_gen (int_range 0 63) ]
+  in
+  let cond =
+    oneofl Insn.[ EQ; NE; CS; CC; MI; PL; HI; LS; GE; LT; GT; LE ]
+  in
+  let insn =
+    frequency [ (4, dp_gen); (2, mem_gen); (2, byte_mem) ] >>= fun i ->
+    frequency [ (3, return i); (1, map (fun c -> with_cond c i) cond) ]
+  in
+  map2
+    (fun insns args -> { with_mem = true; insns; args })
+    (list_size (int_range 1 24) insn)
+    (list_repeat 4 (int_range (-100) 1000))
+
+let entry_taints = [ Taint.imei; Taint.sms; Taint.contacts; Taint.location ]
+
+(* Table V applied statically over every path must cover the tracer's
+   concrete run: r0-r3 carry four distinct taints at entry, memory none;
+   [Native_flow]'s r0 and its one abstract memory cell must contain the
+   traced r0 and the traced taint of every buffer byte *)
+let static_covers_dynamic c =
+  let module Nf = Ndroid_static.Native_flow in
+  let prog = program c in
+  let entry = Asm.fn_addr prog "f" in
+  let m = Machine.create () in
+  Machine.load_program m prog;
+  let engine = Taint_engine.create () in
+  let cpu = Machine.cpu m in
+  Machine.add_insn_hook m (fun addr insn -> Insn_taint.step engine cpu ~addr insn);
+  List.iteri (Taint_engine.set_reg engine) entry_taints;
+  ignore (Machine.call_native m ~addr:entry ~args:c.args ());
+  let lib = Nf.make_lib ~name:"law" prog in
+  let env = { Nf.e_upcall = (fun _ _ _ -> Taint.clear); e_record = ignore } in
+  let r0 = Nf.analyze_entry env lib ~entry ~args:entry_taints ~stack:Taint.clear in
+  let covers what dynamic static =
+    if not (Taint.subset dynamic static) then
+      QCheck.Test.fail_reportf "%s: traced %s, static only %s" what
+        (taint_str dynamic) (taint_str static)
+  in
+  covers "r0" (Taint_engine.reg engine 0) r0;
+  covers "memory" (Taint_engine.mem engine (Asm.symbol prog "buf") 64) lib.Nf.nf_mem;
+  true
+
+let prop_static_covers_dynamic =
+  QCheck.Test.make ~name:"static r0 and memory cover the per-insn tracer"
+    ~count:300
+    (QCheck.make ~print:print_case law_case_gen)
+    static_covers_dynamic
+
+(* ---------------- summary and superblock counts ---------------- *)
+
+(* a Java loop that crosses into the static native "n" once per
+   iteration; [body] is n's code (r2 holds the int argument) *)
+let crossing_cls = "Lcom/test/Cross;"
+
+let crossing_app name body : H.app =
+  { H.app_name = name;
+    app_case = "test";
+    description = "one JNI crossing per loop iteration";
+    classes =
+      [ J.class_ ~name:crossing_cls
+          [ J.native_method ~cls:crossing_cls ~name:"n" ~shorty:"II" "n";
+            J.method_ ~cls:crossing_cls ~name:"cross" ~shorty:"II" ~registers:6
+              [ J.I (B.Const (0, Dvalue.Int 0l));
+                J.L "loop";
+                J.Ifz_l (B.Le, 5, "done");
+                J.I
+                  (B.Invoke
+                     (B.Static, { B.m_class = crossing_cls; m_name = "n" }, [ 5 ]));
+                J.I (B.Move_result 0);
+                J.I (B.Binop_lit (B.Sub, 5, 5, 1l));
+                J.Goto_l "loop";
+                J.L "done";
+                J.I (B.Return 0) ] ] ];
+    build_libs =
+      (fun extern ->
+        [ (name, Asm.assemble ~extern ~base:Layout.app_lib_base (Asm.Label "n" :: body)) ]);
+    entry = (crossing_cls, "cross");
+    expected_sink = "" }
+
+let cross ?(taint = Taint.clear) invoke device n =
+  let vm = Device.vm device in
+  let m = Vm.find_method vm crossing_cls "cross" in
+  let v, t = invoke vm m [| (Dvalue.Int (Int32.of_int n), taint) |] in
+  (Dvalue.to_string v, taint_str t, vm.Vm.counters.Vm.native_calls,
+   vm.Vm.counters.Vm.bytecodes)
+
+(* an exact body: the summary path answers every crossing, rejects none,
+   and runs the same crossings and bytecodes as full emulation and the
+   reference interpreter *)
+let test_summary_every_crossing () =
+  let app =
+    crossing_app "nadd"
+      [ Asm.I (Insn.mov 0 (Insn.Reg 2)); Asm.I (Insn.add 0 0 (Insn.Imm 1));
+        Asm.I Insn.bx_lr ]
+  in
+  let module Interp = Ndroid_dalvik.Interp in
+  let reference = cross Interp.invoke_reference (H.boot app) 200 in
+  let emulated = cross Interp.invoke (H.boot app) 200 in
+  let device = H.boot app in
+  Device.set_use_summaries device true;
+  let summarized = cross Interp.invoke device 200 in
+  let show (v, t, c, b) = Printf.sprintf "%s/%s, %d crossings, %d bytecodes" v t c b in
+  Alcotest.(check string) "emulated == reference" (show reference) (show emulated);
+  Alcotest.(check string) "summary path == emulated" (show emulated) (show summarized);
+  let _, _, crossings, _ = summarized in
+  Alcotest.(check int) "200 crossings" 200 crossings;
+  Alcotest.(check int) "a summary answered every crossing" crossings
+    (Device.summaries_applied device);
+  Alcotest.(check int) "none rejected" 0 (Device.summaries_rejected device)
+
+(* a loopy body: the superblock path compiles blocks and reuses them,
+   with the same result and taint as per-instruction tracing *)
+let test_superblocks_reuse_loopy_body () =
+  let app =
+    crossing_app "sbloop"
+      [ Asm.I (Insn.mov 0 (Insn.Reg 2)); Asm.I (Insn.mov 2 (Insn.Imm 32));
+        Asm.Label "body"; Asm.I (Insn.add 0 0 (Insn.Imm 3));
+        Asm.I (Insn.eor 3 0 (Insn.Reg 2)); Asm.I (Insn.add 0 0 (Insn.Reg 3));
+        Asm.I (Insn.subs 2 2 (Insn.Imm 1)); Asm.Br (Insn.NE, "body");
+        Asm.I Insn.bx_lr ]
+  in
+  let run use_superblocks =
+    let device = H.boot app in
+    let nd = Ndroid.attach ~use_superblocks device in
+    let r = cross ~taint:Taint.imei Ndroid_dalvik.Interp.invoke device 20 in
+    (r, Ndroid.stats nd)
+  in
+  let (v, t, _, _), _ = run false in
+  let (v', t', _, _), st = run true in
+  Alcotest.(check (pair string string)) "same result and taint" (v, t) (v', t');
+  Alcotest.(check bool) "blocks compiled" true (st.Ndroid.sb_compiles > 0);
+  Alcotest.(check bool) "blocks reused" true (st.Ndroid.sb_hits > 0)
+
 let suite =
   [ QCheck_alcotest.to_alcotest prop_three_paths;
     Alcotest.test_case "self-modifying code invalidates superblocks" `Quick
@@ -346,4 +496,9 @@ let suite =
     Alcotest.test_case "summaries persist through the pipeline cache" `Quick
       test_summary_cache_roundtrip;
     Alcotest.test_case "self-modifying code evicts stale decodes" `Quick
-      test_decode_cache_invalidation ]
+      test_decode_cache_invalidation;
+    QCheck_alcotest.to_alcotest prop_static_covers_dynamic;
+    Alcotest.test_case "summary path answers every crossing" `Quick
+      test_summary_every_crossing;
+    Alcotest.test_case "superblocks reuse a loopy body" `Quick
+      test_superblocks_reuse_loopy_body ]

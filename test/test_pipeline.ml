@@ -296,6 +296,42 @@ let test_digest_sensitivity () =
   Alcotest.(check bool) "app changes the key" true
     (d_static <> Analysis.digest t')
 
+(* Straggler isolation on the forked engine: a sweep with hung and
+   crashing apps gives every app the same verdict at --jobs 1 and 3, each
+   hang costs one budget on one worker, and nothing is lost *)
+let test_faulted_sweep_jobs_invariant () =
+  let tasks =
+    List.map
+      (fun (t : Task.t) ->
+        let fault =
+          match t.Task.t_id with
+          | 7 | 41 -> Some Task.Hang
+          | 13 | 52 -> Some Task.Crash
+          | _ -> None
+        in
+        { t with Task.t_fault = fault })
+      (slice 60)
+  in
+  let sweep jobs = Pool.run (Pool.config ~jobs ~timeout:0.2 ()) tasks in
+  let r1, s1 = sweep 1 in
+  let r3, s3 = sweep 3 in
+  Alcotest.(check string) "--jobs 1 and --jobs 3 bit-identical" (json_of r1)
+    (json_of r3);
+  List.iter
+    (fun (s : Pool.stats) ->
+      Alcotest.(check int) "every app answered" (List.length tasks)
+        s.Pool.s_from_workers;
+      Alcotest.(check int) "each hang timed out" 2 s.Pool.s_timeouts;
+      Alcotest.(check int) "each crash isolated" 2 s.Pool.s_crashed)
+    [ s1; s3 ];
+  List.iter
+    (fun i ->
+      Alcotest.(check bool)
+        (Printf.sprintf "app %d timed out" i)
+        true
+        (r3.(i).Verdict.r_verdict = Verdict.Timeout))
+    [ 7; 41 ]
+
 let suite =
   [ Alcotest.test_case "json: golden report bytes" `Quick test_json_golden;
     Alcotest.test_case "json: object keys sorted" `Quick test_json_sorted_keys;
@@ -323,4 +359,6 @@ let suite =
     Alcotest.test_case "cache: digests separate modes and apps" `Quick
       test_digest_sensitivity;
     Alcotest.test_case "wire: oversized prefix refused" `Quick
-      test_wire_oversized ]
+      test_wire_oversized;
+    Alcotest.test_case "pool: faulted fork sweep identical across --jobs"
+      `Quick test_faulted_sweep_jobs_invariant ]

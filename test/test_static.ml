@@ -337,12 +337,20 @@ let prop_slice_soundness =
          | Some i -> slice_sound params i
          | None -> true))
 
+let has_dynamic_pass (r : Verdict.report) =
+  List.exists
+    (fun (k, _) -> String.starts_with ~prefix:"dynamic_" k)
+    r.Verdict.r_meta
+
 (* hybrid must agree with --both verdict-for-verdict: same flags, same
-   flows, over the bundled registry and a market slice *)
+   flows, over the bundled registry and a market slice.  The work hybrid
+   saves is counted too: its report carries a dynamic pass exactly when
+   the static verdict flags the app, and a --both report always does *)
 let test_hybrid_agreement () =
   let check_task name task_of_mode =
     let both = Analysis.run (task_of_mode P_task.Both) in
     let hybrid = Analysis.run (task_of_mode P_task.Hybrid) in
+    let static = Analysis.run (task_of_mode P_task.Static) in
     Alcotest.(check bool)
       (Printf.sprintf "%s: hybrid and both agree on flagged" name)
       (Verdict.flagged both.Verdict.r_verdict)
@@ -350,7 +358,14 @@ let test_hybrid_agreement () =
     Alcotest.(check bool)
       (Printf.sprintf "%s: hybrid and both agree on flows" name)
       true
-      (Verdict.equal both.Verdict.r_verdict hybrid.Verdict.r_verdict)
+      (Verdict.equal both.Verdict.r_verdict hybrid.Verdict.r_verdict);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: hybrid runs a dynamic pass iff static flags" name)
+      (Verdict.flagged static.Verdict.r_verdict)
+      (has_dynamic_pass hybrid);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: both always runs a dynamic pass" name)
+      true (has_dynamic_pass both)
   in
   List.iter
     (fun (app : H.app) ->
@@ -359,12 +374,16 @@ let test_hybrid_agreement () =
             t_mode = mode; t_fault = None }))
     Ndroid_apps.Registry.all;
   let params = Market.scaled 300 in
-  List.iter
-    (fun id ->
-      check_task
-        (Printf.sprintf "market[%d]" id)
-        (fun mode -> List.nth (P_task.of_market_slice ~mode params) id))
-    (List.init 300 Fun.id)
+  let slices =
+    List.map
+      (fun mode -> (mode, Array.of_list (P_task.of_market_slice ~mode params)))
+      [ P_task.Static; P_task.Both; P_task.Hybrid ]
+  in
+  for id = 0 to 299 do
+    check_task
+      (Printf.sprintf "market[%d]" id)
+      (fun mode -> (List.assoc mode slices).(id))
+  done
 
 (* every bundled dynamic detection's provenance stays inside the focus
    set the static slice computed for that app *)

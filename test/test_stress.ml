@@ -1,5 +1,6 @@
-(* Stress: deep Java <-> native ping-pong recursion, artifact parsers under
-   random corruption, and a long mixed workload with the GC running. *)
+(* Stress: deep Java <-> native ping-pong recursion, artifact parsers and
+   the wire, cache and summary decoders under random corruption, and a
+   long mixed workload with the GC running. *)
 
 module Device = Ndroid_runtime.Device
 module Machine = Ndroid_emulator.Machine
@@ -120,6 +121,129 @@ let prop_so_corruption =
       | _ -> true
       | exception Ndroid_arm.Sofile.Bad_sofile _ -> true)
 
+(* ---- decoders of outside bytes answer hostile input with a value ----
+
+   Each property mutates a well-formed encoding (up to four byte
+   overwrites, then maybe a truncation) and feeds it back to its decoder,
+   which must return its typed answer ([Ok]/[Error], [Some]/[None]) and
+   never raise. *)
+
+let mutation =
+  QCheck.(
+    pair
+      (list_of_size Gen.(int_range 1 4) (pair (int_bound 100_000) (int_bound 255)))
+      (option (int_bound 100_000)))
+
+(* overwrites land at or after byte [from]; a cut keeps at least [from] *)
+let mutate ?(from = 0) s (writes, cut) =
+  let b = Bytes.of_string s in
+  let n = Bytes.length b - from in
+  List.iter
+    (fun (pos, byte) -> Bytes.set b (from + (pos mod n)) (Char.chr byte))
+    writes;
+  match cut with
+  | Some k -> Bytes.sub_string b 0 (from + (k mod n))
+  | None -> Bytes.to_string b
+
+module Json = Ndroid_report.Json
+module Verdict = Ndroid_report.Verdict
+module Task = Ndroid_pipeline.Task
+module Proto = Ndroid_pipeline.Proto
+
+let flagged_report =
+  { Verdict.r_app = "case1";
+    r_analysis = "both";
+    r_verdict =
+      Verdict.Flagged
+        [ { Ndroid_report.Flow.f_taint = Taint.imei; f_sink = "sendto";
+            f_context = Ndroid_report.Flow.Native_ctx; f_site = "Lcase1;->leak";
+            f_hops =
+              [ { Ndroid_report.Flow.h_kind = "jni"; h_site = "leak (java->native)" } ]
+          } ];
+    r_meta = [ ("jni_sites", Json.Int 2); ("classification", Json.Null) ] }
+
+(* one frame payload (what [Wire] hands [Proto.of_frame]) per message kind *)
+let proto_payloads =
+  lazy
+    (List.map
+       (fun m ->
+         let f = Bytes.to_string (Proto.to_frame m) in
+         String.sub f 4 (String.length f - 4))
+       [ Proto.Submit
+           { sb_req = 3;
+             sb_subject =
+               Task.Market { m_total = 100; m_seed = 7; m_permille = Some 40; m_id = 9 };
+             sb_mode = Task.Hybrid; sb_deadline = Some 1.5;
+             sb_fault = Some (Task.Sleep 0.25); sb_trace = true };
+         Proto.Subscribe { su_cats = [ "jni" ]; su_app = Some "case.*"; su_window = 64 };
+         Proto.Verdict
+           { vd_req = 1; vd_cached = false; vd_seconds = 0.5; vd_report = flagged_report };
+         Proto.Progress { pg_req = 2; pg_state = "queued"; pg_depth = 5 };
+         Proto.Trace
+           { tc_req = -1; tc_app = "case1";
+             tc_events =
+               [ { Ndroid_obs.Stream.ev_seq = 4; ev_kind = Ndroid_obs.Event.K_jni_begin;
+                   ev_name = "La;->n"; ev_detail = "java->native"; ev_addr = 64;
+                   ev_taint = 2; ev_insn = "mov r0, r1" } ];
+             tc_dropped = 1; tc_lost = 2 };
+         Proto.Shed { sh_req = 9; sh_reason = "queue at capacity" };
+         Proto.Error "bad frame" ])
+
+let prop_proto_hostile =
+  QCheck.Test.make ~name:"mutated proto frames decode or fail cleanly" ~count:500
+    QCheck.(pair (int_bound 6) mutation)
+    (fun (kind, m) ->
+      match Proto.of_frame (mutate (List.nth (Lazy.force proto_payloads) kind) m) with
+      | Ok _ | Error _ -> true)
+
+let prop_cache_entry_hostile =
+  let module Cache = Ndroid_pipeline.Cache in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ndroid-test-hostile-%d" (Unix.getpid ()))
+  in
+  let file = Filename.concat dir "entry.json" in
+  let entry = Json.to_string (Verdict.report_to_json flagged_report) in
+  QCheck.Test.make ~name:"mutated cache entries read as a report or a miss"
+    ~count:300 mutation
+    (fun m ->
+      let cache = Cache.create ~dir in
+      Fun.protect
+        ~finally:(fun () ->
+          (try Sys.remove file with Sys_error _ -> ());
+          try Unix.rmdir dir with Unix.Unix_error _ -> ())
+        (fun () ->
+          let oc = open_out_bin file in
+          output_string oc (mutate entry m);
+          close_out oc;
+          match Cache.find cache ~key:"entry" with Some _ | None -> true))
+
+let prop_summary_json_hostile =
+  let module Summary = Ndroid_summary.Summary in
+  let fixture =
+    lazy
+      (let prog =
+         Asm.assemble ~base:Layout.app_lib_base
+           [ Asm.Label "f"; Asm.I (Insn.add 0 0 (Insn.Imm 1));
+             Asm.I (Insn.eor 0 0 (Insn.Reg 1)); Asm.I Insn.bx_lr;
+             Asm.Label "g"; Asm.I (Insn.ldr 0 0 0); Asm.I Insn.bx_lr ]
+       in
+       let m = Machine.create () in
+       Machine.load_program m prog;
+       let mem = Machine.mem m in
+       (mem, prog, Json.to_string (Summary.to_json (Summary.derive mem prog))))
+  in
+  (* the image digest leads the text and is checked first: mutate what
+     follows it, where the function entries are decoded *)
+  QCheck.Test.make ~name:"mutated summary json loads or is refused" ~count:300
+    mutation
+    (fun m ->
+      let mem, prog, text = Lazy.force fixture in
+      let from = String.length (Printf.sprintf "{\"digest\":%S" (Summary.digest_of prog)) in
+      match Json.of_string (mutate ~from text m) with
+      | Error _ -> true
+      | Ok j -> ( match Summary.of_json mem prog j with Some _ | None -> true))
+
 (* ---- sustained mixed load with periodic GC ---- *)
 
 let test_sustained_load_with_gc () =
@@ -144,4 +268,7 @@ let suite =
       test_pingpong_carries_taint_down;
     Alcotest.test_case "sustained load with GC" `Quick test_sustained_load_with_gc;
     QCheck_alcotest.to_alcotest prop_dex_corruption;
-    QCheck_alcotest.to_alcotest prop_so_corruption ]
+    QCheck_alcotest.to_alcotest prop_so_corruption;
+    QCheck_alcotest.to_alcotest prop_proto_hostile;
+    QCheck_alcotest.to_alcotest prop_cache_entry_hostile;
+    QCheck_alcotest.to_alcotest prop_summary_json_hostile ]
