@@ -109,13 +109,14 @@ let dex_image package (dex : App_model.dex) =
     (main_class_of_dex package dex
     :: List.map native_decl_class dex.App_model.native_decl_classes)
 
-let so_image () =
-  (* a minimal but genuine library: one exported function *)
-  Sofile.to_string
-    (Asm.assemble ~base:0x4A000000
-       [ Asm.Label "JNI_OnLoad";
-         Asm.I (Insn.mov 0 (Insn.Imm 4));
-         Asm.I Insn.bx_lr ])
+(* a minimal but genuine library: one exported function *)
+let native_lib_items =
+  [ Asm.Label "JNI_OnLoad"; Asm.I (Insn.mov 0 (Insn.Imm 4)); Asm.I Insn.bx_lr ]
+
+let native_lib () = Asm.assemble ~base:0x4A000000 native_lib_items
+
+(* every library of every market app carries these bytes *)
+let so_image = Sofile.to_string (native_lib ())
 
 let abi_dir = function
   | App_model.Armeabi -> "armeabi"
@@ -138,7 +139,7 @@ let of_app_model (app : App_model.t) =
     List.map
       (fun l ->
         (Printf.sprintf "lib/%s/%s" (abi_dir l.App_model.abi) l.App_model.lib_name,
-         so_image ()))
+         so_image))
       app.App_model.libs
   in
   { apk_package = app.App_model.package; entries = dex_entries @ embedded @ libs }

@@ -30,6 +30,12 @@ val main_class_of_dex : string -> App_model.dex -> Ndroid_dalvik.Classes.class_d
 val native_decl_class : string -> Ndroid_dalvik.Classes.class_def
 (** A class declaring one [native] method, as Type-I/II dexes carry. *)
 
+val native_lib : unit -> Ndroid_arm.Asm.program
+(** The one library every market app ships ([JNI_OnLoad: mov r0, #4;
+    bx lr]), assembled afresh on each call: a program carries mutable
+    code bytes and a symbol table, so no two devices share one.
+    {!of_app_model} writes its bytes, serialized once per process. *)
+
 val classify : t -> Classifier.classification
 (** Parse the dex images and scan the decoded method bodies for
     [System.loadLibrary]/[System.load] invocations; inspect the lib

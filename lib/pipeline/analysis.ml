@@ -7,9 +7,9 @@ module Verdict = Ndroid_report.Verdict
 module Json = Ndroid_report.Json
 module Vm = Ndroid_dalvik.Vm
 
-(* Bump on any verdict-affecting analyzer change: it invalidates every
-   cached result at once. *)
-let version = "4"
+(* Bump on any change to the report bytes an analysis produces or to the
+   cache-entry format: it invalidates every cached result at once. *)
+let version = "5"
 
 (* The dynamic path's feature switches.  They are part of every cache
    key (see {!digest}): flipping one invalidates exactly the results it

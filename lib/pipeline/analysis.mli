@@ -9,8 +9,9 @@
 
 val version : string
 (** Analyzer-version component of every cache key.  Bump whenever a change
-    to the static or dynamic analyzers can alter verdicts, so stale cached
-    results from older binaries can never be served. *)
+    to the static or dynamic analyzers can alter a report's bytes, or the
+    {!Cache} entry format changes, so stale cached results from older
+    binaries can never be served. *)
 
 val feature_key : string
 (** The dynamic path's feature switches (superblocks, native summaries,

@@ -29,12 +29,23 @@ let read_file path =
     close_in_noerr ic;
     data
 
+(* An entry is the hex MD5 of the report bytes, a newline, then the
+   bytes: a torn or altered entry fails the checksum and reads as a
+   miss, never as some other report. *)
+let checked data =
+  match String.index_opt data '\n' with
+  | Some 32 ->
+    let body = String.sub data 33 (String.length data - 33) in
+    if String.sub data 0 32 = Digest.to_hex (Digest.string body) then Some body
+    else None
+  | _ -> None
+
 let find t ~key =
   let result =
-    match read_file (path t key) with
+    match Option.bind (read_file (path t key)) checked with
     | None -> None
-    | Some data -> (
-      match Json.of_string data with
+    | Some body -> (
+      match Json.of_string body with
       | Error _ -> None
       | Ok j -> (
         match Verdict.report_of_json j with
@@ -52,7 +63,10 @@ let store t ~key report =
   match open_out_bin tmp with
   | exception Sys_error _ -> ()
   | oc ->
-    output_string oc (Json.to_string (Verdict.report_to_json report));
+    let body = Json.to_string (Verdict.report_to_json report) in
+    output_string oc (Digest.to_hex (Digest.string body));
+    output_char oc '\n';
+    output_string oc body;
     close_out_noerr oc;
     (try Sys.rename tmp final with Sys_error _ -> ())
 

@@ -4,9 +4,12 @@
     {!Analysis.digest} — app content + analysis mode + analyzer version —
     so a re-run of an unchanged corpus under an unchanged binary answers
     from disk, and any change to app, mode or analyzer misses cleanly.
-    Corrupt or unreadable entries count as misses (the sweep then simply
-    recomputes and overwrites them); writes go through a temp file +
-    rename so a killed sweep can never leave a torn entry behind. *)
+    A report entry is the hex MD5 of the report bytes, a newline, then
+    those bytes.  Corrupt, unreadable or checksum-failing entries count as
+    misses (the sweep then simply recomputes and overwrites them), so an
+    altered entry never reads as a different report; writes go through a
+    temp file + rename so a killed sweep can never leave a torn entry
+    behind. *)
 
 type t
 

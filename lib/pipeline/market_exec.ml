@@ -15,8 +15,6 @@ module Classes = Ndroid_dalvik.Classes
 module Jbuilder = Ndroid_dalvik.Jbuilder
 module Dvalue = Ndroid_dalvik.Dvalue
 module Taint = Ndroid_taint.Taint
-module Asm = Ndroid_arm.Asm
-module Insn = Ndroid_arm.Insn
 module App_model = Ndroid_corpus.App_model
 module Apk = Ndroid_corpus.Apk
 module Ndroid = Ndroid_core.Ndroid
@@ -50,12 +48,6 @@ let install_stubs device =
   stub ~cls:"Ljava/lang/StringBuilder;" ~name:"append" ~shorty:"LL"
     "Market.pass"
 
-(* the same minimal-but-genuine library {!Apk.so_image} ships *)
-let native_lib_prog () =
-  Asm.assemble ~base:0x4A000000
-    [ Asm.Label "JNI_OnLoad"; Asm.I (Insn.mov 0 (Insn.Imm 4));
-      Asm.I Insn.bx_lr ]
-
 let main_class_name package =
   Printf.sprintf "L%s/Main;"
     (String.map (fun c -> if c = '.' then '/' else c) package)
@@ -75,7 +67,7 @@ let run ?obs ?focus (model : App_model.t) =
        :: List.map Apk.native_decl_class decls)
    | None -> ());
   (* the dex's load call looks the library up by its undecorated name *)
-  Device.provide_library device "native-lib" (native_lib_prog ());
+  Device.provide_library device "native-lib" (Apk.native_lib ());
   let nd = Ndroid.attach ?obs ?focus device in
   (match model.App_model.main_dex with
    | Some _ -> (

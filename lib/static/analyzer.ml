@@ -4,8 +4,6 @@ module Classes = Ndroid_dalvik.Classes
 module Dexfile = Ndroid_dalvik.Dexfile
 module Asm = Ndroid_arm.Asm
 module Sofile = Ndroid_arm.Sofile
-module Sources = Ndroid_android.Sources
-module Sinks = Ndroid_android.Sinks
 module Classifier = Ndroid_corpus.Classifier
 module Apk = Ndroid_corpus.Apk
 
@@ -36,13 +34,6 @@ let unions = List.fold_left T.union T.clear
    "Lcom/example/Leak;" *)
 let normalize_class_sig cls =
   if String.length cls > 0 && cls.[0] = 'L' then cls else "L" ^ cls ^ ";"
-
-let source_tag cls m =
-  List.find_map
-    (fun (c, n, tag) -> if c = cls && n = m then Some tag else None)
-    Sources.source_catalog
-
-let is_sink cls m = List.exists (fun (c, n) -> c = cls && n = m) Sinks.sink_catalog
 
 let max_rounds = 8
 
@@ -109,13 +100,13 @@ let analyze ?classification input =
     let in_native f =
       match !nat_stack with (lib, entry) :: _ -> f ~lib ~entry | [] -> ()
     in
-    match source_tag cls m with
+    match Callgraph.source_tag cls m with
     | Some tag ->
       in_native (fun ~lib ~entry ->
           Xir_build.record_upcall_source facts ~lib ~entry ~cls ~m);
       tag
     | None ->
-      if is_sink cls m then begin
+      if Callgraph.is_sink cls m then begin
         in_native (fun ~lib ~entry ->
             Xir_build.record_upcall_sink facts ~lib ~entry
               ~sink:(Dex_flow.short_sink_name cls m)
@@ -197,30 +188,33 @@ let analyze ?classification input =
   let flow_list =
     Hashtbl.fold (fun _ f acc -> f :: acc) flows [] |> List.sort Flow.compare
   in
-  (* lower both sides into the cross-language IR and slice it: the focus
-     set is what a subsequent dynamic run must instrument, the hop chains
-     become each static flow's provenance *)
-  let xir =
-    let bind sym =
-      Option.map
-        (fun ((l : Native_flow.lib), _) -> l.Native_flow.nf_name)
-        (bind_native sym)
-    in
-    let lib_syms =
-      List.map
-        (fun (l : Native_flow.lib) ->
-          ( l.Native_flow.nf_name,
-            List.map fst (Native_cfg.symbols l.Native_flow.nf_cfg) ))
-        libs
-    in
-    Xir_build.build ~cg ~bind ~libs:lib_syms ~facts
-  in
-  let slice = Slice.compute xir in
-  let flow_list, covered = Slice.annotate slice flow_list in
-  let focus =
-    if flow_list = [] then Ndroid_report.Focus.empty
-    else if covered then Slice.focus slice
-    else Slice.full xir
+  (* only a flagged verdict needs a focus set: then lower both sides into
+     the cross-language IR and slice it.  The focus set is what a
+     subsequent dynamic run must instrument, the hop chains become each
+     static flow's provenance *)
+  let flow_list, focus, xir_nodes, xir_edges =
+    if flow_list = [] then ([], Ndroid_report.Focus.empty, 0, 0)
+    else begin
+      let bind sym =
+        Option.map
+          (fun ((l : Native_flow.lib), _) -> l.Native_flow.nf_name)
+          (bind_native sym)
+      in
+      let lib_syms =
+        List.map
+          (fun (l : Native_flow.lib) ->
+            ( l.Native_flow.nf_name,
+              List.map fst (Native_cfg.symbols l.Native_flow.nf_cfg) ))
+          libs
+      in
+      let xir = Xir_build.build ~cg ~bind ~libs:lib_syms ~facts in
+      let slice = Slice.compute xir in
+      let flow_list, covered = Slice.annotate slice flow_list in
+      ( flow_list,
+        (if covered then Slice.focus slice else Slice.full xir),
+        Xir.node_count xir,
+        Xir.edge_count xir )
+    end
   in
   { v_name = input.in_name;
     v_classification = classification;
@@ -235,8 +229,8 @@ let analyze ?classification input =
         0 libs;
     v_rounds = !rounds;
     v_focus = focus;
-    v_xir_nodes = Xir.node_count xir;
-    v_xir_edges = Xir.edge_count xir }
+    v_xir_nodes = xir_nodes;
+    v_xir_edges = xir_edges }
 
 let basename path =
   match String.rindex_opt path '/' with

@@ -38,8 +38,11 @@ type verdict = {
       (** slice projection for [Flagged] verdicts: the methods, native
           functions and JNI crossings a focused dynamic run must
           instrument ([Focus.empty] when clean) *)
-  v_xir_nodes : int;  (** cross-language IR size *)
-  v_xir_edges : int;
+  v_xir_nodes : int;
+      (** nodes of the cross-language IR the focus set was sliced from.
+          The IR is built only when the fixpoint recorded a flow, so a
+          clean verdict reads 0 here and in [v_xir_edges]. *)
+  v_xir_edges : int;  (** edges of that IR; 0 when none was built *)
 }
 
 val analyze :

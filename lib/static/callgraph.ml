@@ -15,10 +15,6 @@ type t = {
   g_sink_sites : (node * string) list;
 }
 
-let is_load_call (mref : B.method_ref) =
-  mref.B.m_class = "Ljava/lang/System;"
-  && (mref.B.m_name = "loadLibrary" || mref.B.m_name = "load")
-
 let source_tag cls name =
   List.find_map
     (fun (c, m, tag) -> if c = cls && m = name then Some tag else None)
@@ -26,6 +22,9 @@ let source_tag cls name =
 
 let is_sink cls name =
   List.exists (fun (c, m) -> c = cls && m = name) Sinks.sink_catalog
+
+let is_load_call cls name =
+  cls = "Ljava/lang/System;" && (name = "loadLibrary" || name = "load")
 
 let build classes =
   let methods = Hashtbl.create 64 in
@@ -48,14 +47,14 @@ let build classes =
         Array.iter
           (function
             | B.Invoke (_, mref, _) -> (
-              let callee = (mref.B.m_class, mref.B.m_name) in
-              if is_load_call mref then load_sites := node :: !load_sites;
-              (match source_tag mref.B.m_class mref.B.m_name with
+              let cls = mref.B.m_class and name = mref.B.m_name in
+              let callee = (cls, name) in
+              if is_load_call cls name then load_sites := node :: !load_sites;
+              (match source_tag cls name with
                | Some tag -> source_sites := (node, tag) :: !source_sites
                | None -> ());
-              if is_sink mref.B.m_class mref.B.m_name then
-                sink_sites :=
-                  (node, mref.B.m_class ^ "->" ^ mref.B.m_name) :: !sink_sites;
+              if is_sink cls name then
+                sink_sites := (node, cls ^ "->" ^ name) :: !sink_sites;
               match Hashtbl.find_opt methods callee with
               | Some { Classes.m_body = Classes.Native sym; _ } ->
                 native_sites := (node, sym) :: !native_sites

@@ -10,6 +10,17 @@ type node = string * string
 
 type t
 
+val source_tag : string -> string -> Ndroid_taint.Taint.t option
+(** The catalogued source tag of a [(class, method)] call, if any. *)
+
+val is_sink : string -> string -> bool
+(** Is [(class, method)] a catalogued Java-context sink? *)
+
+val is_load_call : string -> string -> bool
+(** [System.loadLibrary] or [System.load].  These three classify every
+    invoke the same way for the call graph, {!Dex_flow}, {!Xir_build} and
+    the analyzer's upcalls. *)
+
 val build : Ndroid_dalvik.Classes.class_def list -> t
 
 val methods : t -> (node, Ndroid_dalvik.Classes.method_def) Hashtbl.t

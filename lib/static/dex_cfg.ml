@@ -10,13 +10,11 @@ type t = {
   c_code : B.t array;
   c_succs : int list array;
   c_handler_succs : int list array;
-  c_blocks : (int * int) list;
-  c_block_succs : (int, int list) Hashtbl.t;
-  c_reach : IntSet.t array array;  (* pc -> reg-slot -> def sites *)
-  c_nregs : int;  (* register slots incl. the result pseudo-register *)
+  c_reach : IntSet.t array array Lazy.t;
+      (* pc -> reg-slot -> def sites; the last slot is the result
+         pseudo-register.  Built on the first [reaching_defs]. *)
 }
 
-let code t = t.c_code
 let succs t pc = if pc >= 0 && pc < Array.length t.c_succs then t.c_succs.(pc) else []
 let handler_succs t pc =
   if pc >= 0 && pc < Array.length t.c_handler_succs then t.c_handler_succs.(pc)
@@ -52,6 +50,12 @@ let uses = function
   | B.Packed_switch (s, _, _) | B.Sparse_switch (s, _) -> [ s ]
   | B.Invoke (_, _, regs) -> regs
 
+(* the result pseudo-register is -1, below every real one *)
+let max_reg code =
+  Array.fold_left
+    (fun acc insn -> List.fold_left max (List.fold_left max acc (defs insn)) (uses insn))
+    (-1) code
+
 let insn_succs code pc =
   let n = Array.length code in
   let valid t = if t >= 0 && t < n then [ t ] else [] in
@@ -69,61 +73,10 @@ let insn_succs code pc =
 
 let slot_of_reg nregs r = if r = result_reg then nregs - 1 else r
 
-let of_code ?(handlers = []) code =
+(* instruction-level worklist over normal and handler edges *)
+let reach_table code succs handler_succs =
   let n = Array.length code in
-  let max_reg =
-    Array.fold_left
-      (fun acc insn ->
-        List.fold_left max acc
-          (List.filter (fun r -> r >= 0) (defs insn @ uses insn)))
-      (-1) code
-  in
-  let nregs = max_reg + 2 (* + the result pseudo-register *) in
-  let succs = Array.init n (fun pc -> insn_succs code pc) in
-  let handler_succs =
-    Array.init n (fun pc ->
-        List.filter_map
-          (fun (h : Classes.handler) ->
-            if pc >= h.try_start && pc < h.try_end && h.handler_pc >= 0
-               && h.handler_pc < n
-            then Some h.handler_pc
-            else None)
-          handlers)
-  in
-  (* ---- basic blocks ---- *)
-  let leader = Array.make (max n 1) false in
-  if n > 0 then leader.(0) <- true;
-  Array.iteri
-    (fun pc ss ->
-      let branches = match ss with [ t ] when t = pc + 1 -> false | _ -> true in
-      if branches then begin
-        List.iter (fun t -> leader.(t) <- true) ss;
-        if pc + 1 < n then leader.(pc + 1) <- true
-      end;
-      List.iter (fun t -> leader.(t) <- true) handler_succs.(pc))
-    succs;
-  let blocks = ref [] in
-  let start = ref 0 in
-  for pc = 1 to n - 1 do
-    if leader.(pc) then begin
-      blocks := (!start, pc) :: !blocks;
-      start := pc
-    end
-  done;
-  if n > 0 then blocks := (!start, n) :: !blocks;
-  let blocks = List.rev !blocks in
-  let block_succs = Hashtbl.create 16 in
-  let leader_of = Array.make (max n 1) 0 in
-  List.iter
-    (fun (s, e) -> for pc = s to e - 1 do leader_of.(pc) <- s done)
-    blocks;
-  List.iter
-    (fun (s, e) ->
-      let last = e - 1 in
-      Hashtbl.replace block_succs s
-        (List.sort_uniq compare (List.map (fun t -> leader_of.(t)) succs.(last))))
-    blocks;
-  (* ---- reaching definitions (instruction-level worklist) ---- *)
+  let nregs = max_reg code + 2 (* + the result pseudo-register *) in
   let reach = Array.init (max n 1) (fun _ -> Array.make nregs IntSet.empty) in
   if n > 0 then
     for s = 0 to nregs - 1 do
@@ -159,25 +112,50 @@ let of_code ?(handlers = []) code =
         preds.(pc)
     done
   done;
-  { c_code = code; c_succs = succs;
-    c_handler_succs = handler_succs; c_blocks = blocks; c_block_succs = block_succs;
-    c_reach = reach; c_nregs = nregs }
+  reach
 
-let blocks t = t.c_blocks
+let of_code ?(handlers = []) code =
+  let n = Array.length code in
+  let succs = Array.init n (insn_succs code) in
+  let handler_succs =
+    Array.init n (fun pc ->
+        List.filter_map
+          (fun (h : Classes.handler) ->
+            if pc >= h.try_start && pc < h.try_end && h.handler_pc >= 0
+               && h.handler_pc < n
+            then Some h.handler_pc
+            else None)
+          handlers)
+  in
+  { c_code = code; c_succs = succs; c_handler_succs = handler_succs;
+    c_reach = lazy (reach_table code succs handler_succs) }
 
-let block_succs t start =
-  match Hashtbl.find_opt t.c_block_succs start with Some l -> l | None -> []
+let blocks cfg =
+  let n = Array.length cfg.c_code in
+  let leader = Array.make (max n 1) false in
+  if n > 0 then leader.(0) <- true;
+  Array.iteri
+    (fun pc ss ->
+      let branches = match ss with [ t ] when t = pc + 1 -> false | _ -> true in
+      if branches then begin
+        List.iter (fun t -> leader.(t) <- true) ss;
+        if pc + 1 < n then leader.(pc + 1) <- true
+      end;
+      List.iter (fun t -> leader.(t) <- true) cfg.c_handler_succs.(pc))
+    cfg.c_succs;
+  let blocks = ref [] in
+  let start = ref 0 in
+  for pc = 1 to n - 1 do
+    if leader.(pc) then begin
+      blocks := (!start, pc) :: !blocks;
+      start := pc
+    end
+  done;
+  if n > 0 then blocks := (!start, n) :: !blocks;
+  List.rev !blocks
 
 let reaching_defs t pc reg =
   if pc < 0 || pc >= Array.length t.c_code then []
-  else IntSet.elements t.c_reach.(pc).(slot_of_reg t.c_nregs reg)
-
-let du_chains t =
-  let acc = ref [] in
-  Array.iteri
-    (fun pc insn ->
-      List.iter
-        (fun r -> acc := (pc, r, reaching_defs t pc r) :: !acc)
-        (uses insn))
-    t.c_code;
-  List.rev !acc
+  else
+    let at = (Lazy.force t.c_reach).(pc) in
+    IntSet.elements at.(slot_of_reg (Array.length at) reg)

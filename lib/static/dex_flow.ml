@@ -2,8 +2,6 @@ module B = Ndroid_dalvik.Bytecode
 module Classes = Ndroid_dalvik.Classes
 module Taint = Ndroid_taint.Taint
 module T = Taint
-module Sources = Ndroid_android.Sources
-module Sinks = Ndroid_android.Sinks
 
 type ctx = {
   dx_cg : Callgraph.t;
@@ -46,16 +44,6 @@ let short_sink_name cls m =
     | None -> s
   in
   s ^ "." ^ m
-
-let source_tag cls m =
-  List.find_map
-    (fun (c, n, tag) -> if c = cls && n = m then Some tag else None)
-    Sources.source_catalog
-
-let is_sink cls m = List.exists (fun (c, n) -> c = cls && n = m) Sinks.sink_catalog
-
-let is_load_call cls m =
-  cls = "Ljava/lang/System;" && (m = "loadLibrary" || m = "load")
 
 let grow_field ctx key t =
   let cur =
@@ -107,14 +95,9 @@ and run_bytecode ctx (def : Classes.method_def) code handlers args =
   if n = 0 then T.clear
   else begin
     let cfg = Dex_cfg.of_code ~handlers code in
-    let max_reg =
-      Array.fold_left
-        (fun acc insn ->
-          List.fold_left max acc
-            (List.filter (fun r -> r >= 0) (Dex_cfg.defs insn @ Dex_cfg.uses insn)))
-        (-1) code
+    let nregs =
+      max (max def.Classes.m_registers (List.length args)) (Dex_cfg.max_reg code + 1)
     in
-    let nregs = max (max def.Classes.m_registers (List.length args)) (max_reg + 1) in
     let res_slot = nregs and ctrl_slot = nregs + 1 in
     let nslots = nregs + 2 in
     let states : T.t array option array = Array.make n None in
@@ -197,10 +180,10 @@ and run_bytecode ctx (def : Classes.method_def) code handlers args =
            let cls = mref.B.m_class and m = mref.B.m_name in
            let argts = List.map (fun r -> T.union (t r) ctrl) regs in
            let au = unions argts in
-           match source_tag cls m with
+           match Callgraph.source_tag cls m with
            | Some tag -> set_result (T.union tag ctrl)
            | None ->
-             if is_sink cls m then begin
+             if Callgraph.is_sink cls m then begin
                let leak = T.union au ctrl in
                if T.is_tainted leak then
                  ctx.dx_record
@@ -209,7 +192,7 @@ and run_bytecode ctx (def : Classes.method_def) code handlers args =
                      f_site = Classes.qualified_name def; f_hops = [] };
                set_result ctrl
              end
-             else if is_load_call cls m then begin
+             else if Callgraph.is_load_call cls m then begin
                ctx.dx_loads <- true;
                set_result ctrl
              end

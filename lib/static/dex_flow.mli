@@ -43,10 +43,3 @@ val native_site_visits : ctx -> int
 val short_sink_name : string -> string -> string
 (** ["Ljava/net/Socket;" "send" → "Socket.send"] — the dynamic sink
     monitors' naming, so static and dynamic verdicts align. *)
-
-val source_tag : string -> string -> Taint.t option
-(** The catalogued source tag of a [(class, method)] call, if any. *)
-
-val is_sink : string -> string -> bool
-val is_load_call : string -> string -> bool
-(** The invoke classification {!Xir_build} mirrors when lowering. *)

@@ -14,8 +14,10 @@ let pp_verdict ppf (v : Analyzer.verdict) =
   Format.fprintf ppf "  app methods:      %d@." v.Analyzer.v_methods;
   Format.fprintf ppf "  native insns:     %d@." v.Analyzer.v_native_insns;
   Format.fprintf ppf "  fixpoint rounds:  %d@." v.Analyzer.v_rounds;
-  Format.fprintf ppf "  xir graph:        %d nodes / %d edges@."
-    v.Analyzer.v_xir_nodes v.Analyzer.v_xir_edges;
+  (* only a verdict with a flow builds the graph *)
+  if v.Analyzer.v_xir_nodes > 0 then
+    Format.fprintf ppf "  xir graph:        %d nodes / %d edges@."
+      v.Analyzer.v_xir_nodes v.Analyzer.v_xir_edges;
   if not (Ndroid_report.Focus.is_empty v.Analyzer.v_focus) then
     Format.fprintf ppf "  focus set:        %a@." Ndroid_report.Focus.pp
       v.Analyzer.v_focus;

@@ -1,11 +1,12 @@
 (* Lowering the two per-language analyses into one {!Xir} graph.
 
    The Java side is recomputed from the dex CFGs (reaching definitions give
-   the intra-method def-use edges; invoke classification mirrors
-   {!Dex_flow}'s).  The native side cannot be cheaply recomputed — which
-   exported function upcalls what, and which hits a host sink, only falls
-   out of the abstract interpretation — so the analyzer records those as
-   [facts] while it runs and this module replays them into the graph. *)
+   the intra-method def-use edges; invokes are classified by the same
+   {!Callgraph} predicates {!Dex_flow} uses).  The native side cannot be
+   cheaply recomputed — which exported function upcalls what, and which
+   hits a host sink, only falls out of the abstract interpretation — so
+   the analyzer records those as [facts] while it runs and this module
+   replays them into the graph. *)
 
 module B = Ndroid_dalvik.Bytecode
 module Classes = Ndroid_dalvik.Classes
@@ -110,16 +111,16 @@ let build ~cg ~(bind : string -> string option)
             match insn with
             | B.Invoke (_, mref, _) -> (
               let mcls = mref.B.m_class and mm = mref.B.m_name in
-              match Dex_flow.source_tag mcls mm with
+              match Callgraph.source_tag mcls mm with
               | Some _ ->
                 Xir.add_edge g
                   (Xir.Source (qname, mcls ^ "->" ^ mm))
                   Xir.Src (dnode pc)
               | None ->
-                if Dex_flow.is_sink mcls mm then
+                if Callgraph.is_sink mcls mm then
                   Xir.add_edge g (dnode pc) Xir.Snk
                     (Xir.Sink (Dex_flow.short_sink_name mcls mm, qname))
-                else if Dex_flow.is_load_call mcls mm then
+                else if Callgraph.is_load_call mcls mm then
                   List.iter
                     (fun lib ->
                       let c =

@@ -1,10 +1,10 @@
 (** Lowering the per-language analyses into one {!Xir} graph.
 
     The Java side is rebuilt from the dex CFGs' reaching definitions
-    (invoke classification mirrors {!Dex_flow}'s); the native side replays
-    cross-boundary [facts] the analyzer recorded while its abstract
-    interpretation ran — which exported function upcalled what, and which
-    reached a host sink. *)
+    (invokes classified by the {!Callgraph} predicates {!Dex_flow} uses);
+    the native side replays cross-boundary [facts] the analyzer recorded
+    while its abstract interpretation ran — which exported function
+    upcalled what, and which reached a host sink. *)
 
 type facts
 

@@ -85,3 +85,38 @@ let suite =
   suite
   @ [ Alcotest.test_case "device boot: no major-heap words, bounded minor"
         `Quick test_device_boot ]
+
+(* Static triage of a flow-free market app: the analyzer lowers the
+   cross-language IR and slices it only when the fixpoint recorded a
+   flow, and a Dalvik method's reaching definitions are built only for
+   that lowering, so a clean app pays for the fixpoint alone.  The bound
+   is the mean minor words of [Analyzer.analyze_apk] over the flow-free
+   apps of a fixed market slice. *)
+module Market = Ndroid_corpus.Market
+module Apk = Ndroid_corpus.Apk
+module Analyzer = Ndroid_static.Analyzer
+
+let triage_minor_bound = 2_800.
+
+let test_flow_free_triage () =
+  let clean =
+    List.filter_map
+      (fun model ->
+        let apk = Apk.of_app_model model in
+        if Analyzer.flagged (Analyzer.analyze_apk apk) then None else Some apk)
+      (List.of_seq (Market.generate (Market.scaled 300)))
+  in
+  Alcotest.(check bool) "the sample has flow-free apps" true (List.length clean > 200);
+  let minor0 = Gc.minor_words () in
+  List.iter
+    (fun apk -> ignore (Sys.opaque_identity (Analyzer.analyze_apk apk)))
+    clean;
+  let mean = (Gc.minor_words () -. minor0) /. float_of_int (List.length clean) in
+  if mean > triage_minor_bound then
+    Alcotest.failf "analyze_apk of a flow-free app: %.0f minor words (bound %.0f)"
+      mean triage_minor_bound
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "static triage of a flow-free market app" `Quick
+        test_flow_free_triage ]

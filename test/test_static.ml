@@ -342,10 +342,18 @@ let has_dynamic_pass (r : Verdict.report) =
     (fun (k, _) -> String.starts_with ~prefix:"dynamic_" k)
     r.Verdict.r_meta
 
+(* the focus set a hybrid report's dynamic pass was gated on, if it is a
+   non-empty one (an empty focus set gates nothing) *)
+let gated_on_focus (r : Verdict.report) =
+  match Option.map Focus.of_json (List.assoc_opt "static_focus" r.Verdict.r_meta) with
+  | Some (Ok f) -> not (Focus.is_empty f)
+  | Some (Error _) | None -> false
+
 (* hybrid must agree with --both verdict-for-verdict: same flags, same
    flows, over the bundled registry and a market slice.  The work hybrid
    saves is counted too: its report carries a dynamic pass exactly when
-   the static verdict flags the app, and a --both report always does *)
+   the static verdict flags the app, gated on a non-empty focus set, and
+   a --both report always carries one *)
 let test_hybrid_agreement () =
   let check_task name task_of_mode =
     let both = Analysis.run (task_of_mode P_task.Both) in
@@ -363,6 +371,10 @@ let test_hybrid_agreement () =
       (Printf.sprintf "%s: hybrid runs a dynamic pass iff static flags" name)
       (Verdict.flagged static.Verdict.r_verdict)
       (has_dynamic_pass hybrid);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: hybrid's dynamic pass is gated on a focus set" name)
+      (Verdict.flagged static.Verdict.r_verdict)
+      (gated_on_focus hybrid);
     Alcotest.(check bool)
       (Printf.sprintf "%s: both always runs a dynamic pass" name)
       true (has_dynamic_pass both)
@@ -491,6 +503,31 @@ let test_vfprintf_sink () =
   Alcotest.(check bool) "detected by NDroid" true
     (H.run H.Ndroid_full vfprintf_app).H.detected
 
+(* ---- the cross-language IR is built only for a focus set ---- *)
+
+(* a verdict with a flow carries the IR its focus set was sliced from; a
+   clean one carries none, and no focus *)
+let test_xir_only_when_flagged () =
+  let check name (v : St.Analyzer.verdict) =
+    if St.Analyzer.flagged v then
+      Alcotest.(check bool) (name ^ ": flagged, xir built") true
+        (v.St.Analyzer.v_xir_nodes > 0)
+    else begin
+      Alcotest.(check (pair int int)) (name ^ ": clean, no xir") (0, 0)
+        (v.St.Analyzer.v_xir_nodes, v.St.Analyzer.v_xir_edges);
+      Alcotest.(check bool) (name ^ ": clean, empty focus") true
+        (Focus.is_empty v.St.Analyzer.v_focus)
+    end
+  in
+  List.iter
+    (fun (app : H.app) -> check app.H.app_name (St.Drive.verdict_of_app app))
+    Ndroid_apps.Registry.all;
+  Seq.iter
+    (fun model ->
+      check model.Ndroid_corpus.App_model.package
+        (St.Analyzer.analyze_apk (Apk.of_app_model model)))
+    (Market.generate (Market.scaled 300))
+
 let suite =
   [ Alcotest.test_case "dex cfg: diamond blocks" `Quick test_dex_cfg_blocks;
     Alcotest.test_case "dex cfg: reaching defs" `Quick test_dex_cfg_reaching_defs;
@@ -513,4 +550,6 @@ let suite =
     Alcotest.test_case "registry flagged from packed bytes" `Quick
       test_packed_bytes_flagged;
     Alcotest.test_case "vfprintf is a sink to both analyses" `Quick
-      test_vfprintf_sink ]
+      test_vfprintf_sink;
+    Alcotest.test_case "XIR is lowered exactly for apps with a flow" `Quick
+      test_xir_only_when_flagged ]

@@ -203,7 +203,8 @@ let prop_cache_entry_hostile =
       (Printf.sprintf "ndroid-test-hostile-%d" (Unix.getpid ()))
   in
   let file = Filename.concat dir "entry.json" in
-  let entry = Json.to_string (Verdict.report_to_json flagged_report) in
+  let json r = Json.to_string (Verdict.report_to_json r) in
+  (* a hit must be the stored report itself, never some other report *)
   QCheck.Test.make ~name:"mutated cache entries read as a report or a miss"
     ~count:300 mutation
     (fun m ->
@@ -213,10 +214,13 @@ let prop_cache_entry_hostile =
           (try Sys.remove file with Sys_error _ -> ());
           try Unix.rmdir dir with Unix.Unix_error _ -> ())
         (fun () ->
-          let oc = open_out_bin file in
-          output_string oc (mutate entry m);
-          close_out oc;
-          match Cache.find cache ~key:"entry" with Some _ | None -> true))
+          Cache.store cache ~key:"entry" flagged_report;
+          let entry = In_channel.with_open_bin file In_channel.input_all in
+          Out_channel.with_open_bin file (fun oc ->
+              output_string oc (mutate entry m));
+          match Cache.find cache ~key:"entry" with
+          | Some r -> json r = json flagged_report
+          | None -> true))
 
 let prop_summary_json_hostile =
   let module Summary = Ndroid_summary.Summary in
