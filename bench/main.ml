@@ -178,8 +178,8 @@ let run_workload mode (w : CF.workload) ~iterations =
   CF.prepare device;
   (match mode with
    | H.Vanilla -> Taintdroid.vanilla device
-   | H.Taintdroid_only -> ignore (Taintdroid.attach device)
-   | H.Droidscope_mode -> ignore (Droidscope.attach device)
+   | H.Taintdroid_only -> Taintdroid.attach device
+   | H.Droidscope_mode -> Droidscope.attach device
    | H.Ndroid_full -> ignore (Ndroid.attach device));
   time_median (fun () -> w.CF.w_run device ~iterations)
 

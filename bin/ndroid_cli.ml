@@ -60,10 +60,10 @@ let run_with_policy mode block app =
         Ndroid_taintdroid.Taintdroid.vanilla device;
         None
       | H.Taintdroid_only ->
-        ignore (Ndroid_taintdroid.Taintdroid.attach device);
+        Ndroid_taintdroid.Taintdroid.attach device;
         None
       | H.Droidscope_mode ->
-        ignore (Ndroid_core.Droidscope.attach device);
+        Ndroid_core.Droidscope.attach device;
         None
     in
     A.Sink_monitor.set_policy
@@ -79,7 +79,7 @@ let run_with_policy mode block app =
       leaks;
       flow_log =
         (match nd with
-         | Some n -> Ndroid_core.Flow_log.entries (Ndroid_core.Ndroid.log n)
+         | Some n -> Ndroid_core.Ndroid.log n
          | None -> []);
       stats = (match nd with Some n -> Some (Ndroid_core.Ndroid.stats n) | None -> None);
       transmissions =

@@ -12,10 +12,8 @@
    Run with:  dune exec examples/quickstart.exe *)
 
 module Device = Ndroid_runtime.Device
-module Machine = Ndroid_emulator.Machine
 module Layout = Ndroid_emulator.Layout
 module Ndroid = Ndroid_core.Ndroid
-module Flow_log = Ndroid_core.Flow_log
 module A = Ndroid_android
 module J = Ndroid_dalvik.Jbuilder
 module B = Ndroid_dalvik.Bytecode
@@ -92,6 +90,5 @@ let () =
     (fun l -> Format.printf "  %a@." A.Sink_monitor.pp_leak l)
     (Ndroid.leaks ndroid);
   print_endline "--- NDroid flow log ---";
-  List.iter (fun l -> Printf.printf "  %s\n" l)
-    (Flow_log.entries (Ndroid.log ndroid));
+  List.iter (fun l -> Printf.printf "  %s\n" l) (Ndroid.log ndroid);
   Format.printf "--- stats ---@.  %a@." Ndroid.pp_stats (Ndroid.stats ndroid)

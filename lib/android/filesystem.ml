@@ -72,8 +72,6 @@ let close fs fd =
   | Some d -> d.d_open <- false
   | None -> ()
 
-let exists fs path = Hashtbl.mem fs.files path
-
 let contents fs path =
   match Hashtbl.find_opt fs.files path with
   | Some b -> Buffer.contents b

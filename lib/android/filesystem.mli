@@ -23,7 +23,6 @@ val read : t -> int -> int -> string
 (** [read fs fd n] reads up to [n] bytes from the descriptor's position. *)
 
 val close : t -> int -> unit
-val exists : t -> string -> bool
 val contents : t -> string -> string
 (** Whole-file contents. @raise Not_found if absent. *)
 

@@ -14,10 +14,3 @@ val functions : (Ndroid_jni.Jni_names.row * (Cpu.t -> Memory.t -> unit)) list
 (** All 26 modeled libm entries ([strtod]/[strtol] included) as catalogue
     rows and handlers, in mount order.  A math function's row gives the
     arity and precision its taint summary reads. *)
-
-val get_double : Cpu.t -> int -> float
-(** Read a double from the register pair starting at register index. *)
-
-val set_double : Cpu.t -> int -> float -> unit
-val get_float : Cpu.t -> int -> float
-val set_float : Cpu.t -> int -> float -> unit

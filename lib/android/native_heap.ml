@@ -58,4 +58,3 @@ let realloc h addr n =
 
 let block_size h addr = Hashtbl.find_opt h.live addr
 let live_blocks h = Hashtbl.length h.live
-let total_allocated h = h.total

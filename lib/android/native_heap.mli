@@ -9,7 +9,6 @@
 type t
 
 val region_base : int
-val region_size : int
 
 val create : unit -> t
 
@@ -29,5 +28,3 @@ val block_size : t -> int -> int option
 (** Size of a live block. *)
 
 val live_blocks : t -> int
-val total_allocated : t -> int
-(** Cumulative allocation count (CF-Bench MALLOCS accounting). *)

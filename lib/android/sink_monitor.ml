@@ -40,7 +40,6 @@ let blocked_count t = List.length (List.filter (fun l -> l.blocked) t.log)
 
 let leaks t = List.rev t.log
 let leak_count t = List.length t.log
-let clear t = t.log <- []
 
 let pp_leak ppf l =
   Format.fprintf ppf "[%s%s] sink=%s taint=%a dest=%s data=%S"

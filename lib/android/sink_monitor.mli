@@ -59,6 +59,5 @@ val leaks : t -> leak list
 (** Oldest first. *)
 
 val leak_count : t -> int
-val clear : t -> unit
 
 val pp_leak : Format.formatter -> leak -> unit

@@ -304,5 +304,3 @@ let case4 : Harness.app =
     expected_sink = "sendto" }
 
 let all = [ case1; case1'; case2; case3; case4 ]
-
-let expected_taintdroid app = app.Harness.app_name = "case1"

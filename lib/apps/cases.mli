@@ -26,7 +26,3 @@ val case4 : Harness.app
 
 val all : Harness.app list
 (** In Table I order: 1, 1', 2, 3, 4. *)
-
-val expected_taintdroid : Harness.app -> bool
-(** Ground truth from the paper: does TaintDroid catch this case?
-    ([true] only for case 1.) *)

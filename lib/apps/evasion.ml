@@ -1,10 +1,8 @@
-module Device = Ndroid_runtime.Device
 module J = Ndroid_dalvik.Jbuilder
 module B = Ndroid_dalvik.Bytecode
 module Asm = Ndroid_arm.Asm
 module Insn = Ndroid_arm.Insn
 module Layout = Ndroid_emulator.Layout
-module Taint = Ndroid_taint.Taint
 module A = Ndroid_android
 
 let cls = "Lcom/ndroid/demos/Evade;"

@@ -1,10 +1,8 @@
 module Device = Ndroid_runtime.Device
 module Vm = Ndroid_dalvik.Vm
-module Dvalue = Ndroid_dalvik.Dvalue
 module Taint = Ndroid_taint.Taint
 module Ndroid = Ndroid_core.Ndroid
 module Droidscope = Ndroid_core.Droidscope
-module Flow_log = Ndroid_core.Flow_log
 module Taintdroid = Ndroid_taintdroid.Taintdroid
 module A = Ndroid_android
 
@@ -48,7 +46,12 @@ let boot app =
     (app.build_libs Device.host_fn_addr);
   device
 
-let contains_substring = Flow_log.contains
+let contains_substring hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec loop i =
+    i + nl <= hl && (String.sub hay i nl = needle || loop (i + 1))
+  in
+  loop 0
 
 let run ?obs ?(superblocks = false) ?(summaries = false) ?focus mode app =
   let device = boot app in
@@ -58,10 +61,10 @@ let run ?obs ?(superblocks = false) ?(summaries = false) ?focus mode app =
       Taintdroid.vanilla device;
       None
     | Taintdroid_only ->
-      ignore (Taintdroid.attach device);
+      Taintdroid.attach device;
       None
     | Droidscope_mode ->
-      ignore (Droidscope.attach device);
+      Droidscope.attach device;
       None
     | Ndroid_full ->
       Some
@@ -83,14 +86,9 @@ let run ?obs ?(superblocks = false) ?(summaries = false) ?focus mode app =
     detected;
     leaks;
     flow_log =
-      (match ndroid with Some n -> Flow_log.entries (Ndroid.log n) | None -> []);
+      (match ndroid with Some n -> Ndroid.log n | None -> []);
     stats = (match ndroid with Some n -> Some (Ndroid.stats n) | None -> None);
     transmissions = A.Network.transmissions (Device.net device);
     file_writes = A.Filesystem.writes (Device.fs device);
     device;
     analysis = ndroid }
-
-let detection_row app =
-  List.map
-    (fun mode -> (mode, (run mode app).detected))
-    [ Vanilla; Taintdroid_only; Droidscope_mode; Ndroid_full ]

@@ -58,5 +58,6 @@ val run :
     [focus] (Ndroid mode only) gates instrumentation to the static slice's
     focus set — the hybrid pipeline's focused dynamic run. *)
 
-val detection_row : app -> (mode * bool) list
-(** The app's row of the Table I matrix: detection under every mode. *)
+val contains_substring : string -> string -> bool
+(** [contains_substring hay needle]: how a sink name is matched against
+    an app's [expected_sink], by this harness and the static analyzer. *)

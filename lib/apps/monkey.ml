@@ -19,8 +19,8 @@ type drive_result = {
 
 let attach_mode device = function
   | Harness.Vanilla -> Ndroid_taintdroid.Taintdroid.vanilla device
-  | Harness.Taintdroid_only -> ignore (Ndroid_taintdroid.Taintdroid.attach device)
-  | Harness.Droidscope_mode -> ignore (Ndroid_core.Droidscope.attach device)
+  | Harness.Taintdroid_only -> Ndroid_taintdroid.Taintdroid.attach device
+  | Harness.Droidscope_mode -> Ndroid_core.Droidscope.attach device
   | Harness.Ndroid_full -> ignore (Ndroid_core.Ndroid.attach device)
 
 let drive events_of_handlers ~mode ui =

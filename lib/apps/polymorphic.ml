@@ -129,5 +129,3 @@ let variants =
   [ variant "net" "mainNet" "send";
     variant "file" "mainFile" "fprintf";
     variant "callback" "mainCallback" "Socket.send" ]
-
-let variant_names = List.map (fun a -> a.Harness.app_name) variants

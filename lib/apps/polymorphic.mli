@@ -14,5 +14,3 @@
 val variants : Harness.app list
 (** Three apps, one per morph, sharing the same classes and native library.
     Every one must be detected by NDroid and missed by TaintDroid. *)
-
-val variant_names : string list

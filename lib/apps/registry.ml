@@ -17,11 +17,3 @@ let names = List.map (fun a -> a.Harness.app_name) all
 
 let find name =
   List.find_opt (fun a -> a.Harness.app_name = name) all
-
-let find_exn name =
-  match find name with
-  | Some app -> app
-  | None ->
-    invalid_arg
-      (Printf.sprintf "unknown app %S; try one of: %s" name
-         (String.concat ", " names))

@@ -7,6 +7,3 @@
 val all : Harness.app list
 val names : string list
 val find : string -> Harness.app option
-
-val find_exn : string -> Harness.app
-(** @raise Invalid_argument with the known names when absent. *)

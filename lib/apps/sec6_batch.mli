@@ -22,7 +22,4 @@ type verdict = {
   leaked : bool;
 }
 
-val examine : Harness.app -> verdict
-(** Run under full NDroid with directed input. *)
-
 val summary : unit -> verdict list

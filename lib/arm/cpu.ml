@@ -59,24 +59,3 @@ let copy cpu =
     regs = Array.copy cpu.regs;
     vfp_s = Array.copy cpu.vfp_s;
     vfp_d = Array.copy cpu.vfp_d }
-
-let reset cpu =
-  Array.fill cpu.regs 0 16 0;
-  cpu.n <- false;
-  cpu.z <- false;
-  cpu.c <- false;
-  cpu.v <- false;
-  cpu.mode <- Arm;
-  Array.fill cpu.vfp_s 0 32 0.0;
-  Array.fill cpu.vfp_d 0 16 0.0
-
-let pp ppf cpu =
-  for i = 0 to 15 do
-    Format.fprintf ppf "%a=0x%08x " Insn.pp_reg i (reg cpu i)
-  done;
-  Format.fprintf ppf "[%s%s%s%s] %s"
-    (if cpu.n then "N" else "n")
-    (if cpu.z then "Z" else "z")
-    (if cpu.c then "C" else "c")
-    (if cpu.v then "V" else "v")
-    (match cpu.mode with Arm -> "ARM" | Thumb -> "Thumb")

@@ -39,9 +39,3 @@ val cond_passed : t -> Insn.cond -> bool
 
 val copy : t -> t
 (** Deep copy, for save/restore around nested invocations. *)
-
-val reset : t -> unit
-(** Zero all state in place. *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line register dump for logs. *)

@@ -6,6 +6,8 @@ type line = {
   l_label : string option;
 }
 
+(* Decode [size] bytes starting at [start] by linear sweep: undecodable
+   words are emitted as data lines and skipped by one instruction width. *)
 let range ?(mode = Cpu.Arm) ?(symbols = []) mem ~start ~size =
   (* index symbols once — a per-address List.find_opt makes the sweep
      O(n·m) on large libraries *)

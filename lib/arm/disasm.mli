@@ -14,17 +14,7 @@ type line = {
   l_label : string option;  (** symbol defined at this address *)
 }
 
-val range :
-  ?mode:Cpu.mode -> ?symbols:(string * int) list -> Memory.t -> start:int ->
-  size:int -> line list
-(** Decode [size] bytes starting at [start].  Decoding is linear sweep:
-    undecodable words are emitted as data lines and skipped by one
-    instruction width. *)
-
 val program : Asm.program -> line list
 (** Disassemble an assembled program with its own symbols. *)
-
-val pp_line : Format.formatter -> line -> unit
-(** e.g. [4a000010:  e0810002    ADD r0, r1, r2]. *)
 
 val pp_listing : Format.formatter -> line list -> unit

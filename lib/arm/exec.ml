@@ -390,7 +390,7 @@ let step_decoded cpu mem ~addr insn size =
     is_return = out.r_executed && is_return_insn insn;
     svc = (if out.r_svc >= 0 then Some out.r_svc else None) }
 
-let step ?icache cpu mem =
+let step cpu mem =
   let addr = Cpu.pc cpu in
-  let insn, size = fetch_decode ?icache cpu mem addr in
+  let insn, size = fetch_decode cpu mem addr in
   step_decoded cpu mem ~addr insn size

@@ -33,16 +33,10 @@ val fetch_decode : ?icache:Icache.t -> Cpu.t -> Memory.t -> int -> Insn.t * int
 (** [fetch_decode cpu mem addr] decodes the instruction at [addr] in the
     CPU's current mode.  @raise Undefined on unsupported encodings. *)
 
-val step : ?icache:Icache.t -> Cpu.t -> Memory.t -> step
+val step : Cpu.t -> Memory.t -> step
 (** Execute one instruction at the current PC.  Updates all CPU and memory
     state, including the PC (fall-through or branch target).
     @raise Undefined on unsupported encodings. *)
-
-val step_decoded : Cpu.t -> Memory.t -> addr:int -> Insn.t -> int -> step
-(** [step_decoded cpu mem ~addr insn size] executes [insn], already decoded
-    from [addr] by {!fetch_decode}.  This is the trace loop's single-decode
-    path: the machine decodes once, shows the instruction to its listeners,
-    then executes the same decode result. *)
 
 (** Mutable per-step result for the allocation-free execution path.
     Sentinel [-1] means "none" for {!field-r_branch_to} and {!field-r_svc}

@@ -74,12 +74,5 @@ let evict c ~addr ~len =
       done
     end
 
-let clear c =
-  Array.fill c.addrs 0 slots (-1);
-  c.lo <- max_int;
-  c.hi <- min_int;
-  c.hits <- 0;
-  c.misses <- 0
-
 let hits c = c.hits
 let misses c = c.misses

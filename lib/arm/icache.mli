@@ -14,7 +14,6 @@ type t
 val create : unit -> t
 val find : t -> int -> (Insn.t * int) option
 val store : t -> int -> Insn.t * int -> unit
-val clear : t -> unit
 
 val evict : t -> addr:int -> len:int -> unit
 (** [evict c ~addr ~len] drops every cached instruction that a write of

@@ -8,11 +8,6 @@ let r4 = 4
 let r5 = 5
 let r6 = 6
 let r7 = 7
-let r8 = 8
-let r9 = 9
-let r10 = 10
-let r11 = 11
-let r12 = 12
 let sp = 13
 let lr = 14
 let pc = 15
@@ -77,8 +72,6 @@ let cond_name = function
   | GT -> "GT"
   | LE -> "LE"
   | AL -> ""
-
-let pp_cond ppf c = Format.pp_print_string ppf (cond_name c)
 
 type shift_kind = LSL | LSR | ASR | ROR
 
@@ -174,7 +167,6 @@ let dp_name = function
   | BIC -> "BIC"
   | MVN -> "MVN"
 
-let pp_dp_op ppf op = Format.pp_print_string ppf (dp_name op)
 let is_test_op = function TST | TEQ | CMP | CMN -> true | _ -> false
 
 let is_move_op = function
@@ -348,13 +340,11 @@ let adds rd rn op2 = dp ~s:true ADD rd rn op2
 let adc rd rn op2 = dp ADC rd rn op2
 let sub rd rn op2 = dp SUB rd rn op2
 let subs rd rn op2 = dp ~s:true SUB rd rn op2
-let rsb rd rn op2 = dp RSB rd rn op2
 let and_ rd rn op2 = dp AND rd rn op2
 let orr rd rn op2 = dp ORR rd rn op2
 let eor rd rn op2 = dp EOR rd rn op2
 let bic rd rn op2 = dp BIC rd rn op2
 let cmp rn op2 = dp ~s:true CMP 0 rn op2
-let cmn rn op2 = dp ~s:true CMN 0 rn op2
 let tst rn op2 = dp ~s:true TST 0 rn op2
 let mul rd rm rs = Mul { cond = AL; s = false; rd; rm; rs }
 let mla rd rm rs rn = Mla { cond = AL; s = false; rd; rm; rs; rn }

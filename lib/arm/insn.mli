@@ -24,16 +24,9 @@ val r4 : reg
 val r5 : reg
 val r6 : reg
 val r7 : reg
-val r8 : reg
-val r9 : reg
-val r10 : reg
-val r11 : reg
-val r12 : reg
 val sp : reg
 val lr : reg
 val pc : reg
-
-val pp_reg : Format.formatter -> reg -> unit
 
 (** Condition codes, encoded in bits 31:28 of every ARM instruction. *)
 type cond =
@@ -59,14 +52,11 @@ val cond_code : cond -> int
 val cond_of_code : int -> cond option
 (** Inverse of {!cond_code}; [None] for 0b1111 (unconditional space). *)
 
-val pp_cond : Format.formatter -> cond -> unit
-
 (** Barrel-shifter operations. *)
 type shift_kind = LSL | LSR | ASR | ROR
 
 val shift_code : shift_kind -> int
 val shift_of_code : int -> shift_kind
-val pp_shift : Format.formatter -> shift_kind -> unit
 
 (** The flexible second operand of data-processing instructions. *)
 type operand2 =
@@ -96,7 +86,6 @@ type dp_op =
 
 val dp_code : dp_op -> int
 val dp_of_code : int -> dp_op
-val pp_dp_op : Format.formatter -> dp_op -> unit
 
 val is_test_op : dp_op -> bool
 (** [true] for TST/TEQ/CMP/CMN, which write flags only. *)
@@ -190,13 +179,11 @@ val adds : reg -> reg -> operand2 -> t
 val adc : reg -> reg -> operand2 -> t
 val sub : reg -> reg -> operand2 -> t
 val subs : reg -> reg -> operand2 -> t
-val rsb : reg -> reg -> operand2 -> t
 val and_ : reg -> reg -> operand2 -> t
 val orr : reg -> reg -> operand2 -> t
 val eor : reg -> reg -> operand2 -> t
 val bic : reg -> reg -> operand2 -> t
 val cmp : reg -> operand2 -> t
-val cmn : reg -> operand2 -> t
 val tst : reg -> operand2 -> t
 val mul : reg -> reg -> reg -> t
 val mla : reg -> reg -> reg -> reg -> t
@@ -216,9 +203,6 @@ val pop : reg list -> t
 val bx_lr : t
 val blx_reg : reg -> t
 val svc : int -> t
-
-val reg_list_mask : reg list -> int
-(** Bitmask of a register list. *)
 
 val regs_of_mask : int -> reg list
 (** Ascending register list of a bitmask. *)

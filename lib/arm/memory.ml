@@ -154,7 +154,8 @@ let write_bytes m addr b =
 
 let write_string m addr s = write_bytes m addr (Bytes.of_string s)
 
-let read_cstring m ?(max = 65536) addr =
+let read_cstring m addr =
+  let max = 65536 in
   let buf = Buffer.create 32 in
   let rec loop i =
     if i >= max then Buffer.contents buf
@@ -187,8 +188,3 @@ let write_f64 m addr f =
   write_u32 m (addr + 4) (Int64.to_int (Int64.shift_right_logical bits 32))
 
 let pages_touched m = Hashtbl.length m.pages
-
-let clear m =
-  Hashtbl.reset m.pages;
-  m.last_key <- no_key;
-  m.last_page <- Bytes.empty

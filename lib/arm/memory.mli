@@ -22,9 +22,9 @@ val read_bytes : t -> int -> int -> Bytes.t
 val write_bytes : t -> int -> Bytes.t -> unit
 val write_string : t -> int -> string -> unit
 
-val read_cstring : t -> ?max:int -> int -> string
-(** [read_cstring m addr] reads a NUL-terminated string ([max] defaults to
-    65536 bytes and bounds runaway reads). *)
+val read_cstring : t -> int -> string
+(** [read_cstring m addr] reads a NUL-terminated string, at most 65536
+    bytes, which bounds runaway reads. *)
 
 val write_cstring : t -> int -> string -> unit
 (** Write a string followed by a NUL byte. *)
@@ -53,5 +53,3 @@ val on_code_write : t -> (int -> int -> unit) -> unit
     address and length after {!code_gen} is bumped.  The machine owns it:
     it evicts the decode-cache slots the write covers and tells the
     summary layer, which marks the owning library dirty. *)
-
-val clear : t -> unit

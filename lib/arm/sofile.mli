@@ -14,6 +14,3 @@ val to_string : Asm.program -> string
 
 val of_string : string -> Asm.program
 (** Parse. @raise Bad_sofile on a corrupt or truncated image. *)
-
-val magic : string
-(** The 4-byte container magic. *)

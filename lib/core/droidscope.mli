@@ -14,18 +14,9 @@
       reported" — the source/sink model is TaintDroid's, so the Table I
       detection matrix matches TaintDroid's row. *)
 
-type t
-
-val attach :
-  ?vmi_work_per_insn:int -> ?insns_per_bytecode:int ->
-  ?insns_per_host_call:int -> Ndroid_runtime.Device.t -> t
-(** Instrument a device.  [vmi_work_per_insn] (default 90) is the
-    introspection work performed per machine instruction;
-    [insns_per_bytecode] (default 3) models the per-bytecode dispatch +
-    execute instruction count per DVM bytecode, each of which also pays the
-    per-instruction cost; [insns_per_host_call] (default 110) models a
-    library function's body, which DroidScope instruments in full where
-    NDroid substitutes a summary. *)
-
-val instructions_processed : t -> int
-(** Machine instructions (real + interpreter-generated) instrumented. *)
+val attach : Ndroid_runtime.Device.t -> unit
+(** Instrument a device: every machine instruction pays 90 units of
+    introspection work; every DVM bytecode models 3 dispatch-and-execute
+    instructions, each paying the per-instruction cost; a library call
+    models a 110-instruction body, which DroidScope instruments in full
+    where NDroid substitutes a summary. *)

@@ -17,20 +17,17 @@ type frame_snapshot = { fs_name : string; fs_regs : int array }
 type t = {
   device : Device.t;
   engine : Taint_engine.t;
-  log : Flow_log.t;
+  log : Ring.t;
   table : Source_policy.Table.t;
   multilevel : Multilevel.t;
   use_multilevel : bool;
   mutable pre_stack : frame_snapshot list;
   mutable policies_applied : int;
-  mutable always_hook_scans : int;
 }
 
 let policies t = t.table
 let policies_applied t = t.policies_applied
 let multilevel_checks t = Multilevel.checks t.multilevel
-let multilevel_level t = Multilevel.level t.multilevel
-let always_hook_scans t = t.always_hook_scans
 
 (* ---- event handling ---- *)
 
@@ -42,9 +39,9 @@ let on_jni_enter t =
   match Device.current_jni_call t.device with
   | Some jc ->
     let p = Source_policy.of_jni_call jc in
-    Flow_log.recordf t.log "name: %s" p.Source_policy.method_name;
-    Flow_log.recordf t.log "shorty: %s" p.Source_policy.method_shorty;
-    Flow_log.recordf t.log "class: %s" p.Source_policy.class_name;
+    Ring.logf t.log "name: %s" p.Source_policy.method_name;
+    Ring.logf t.log "shorty: %s" p.Source_policy.method_shorty;
+    Ring.logf t.log "class: %s" p.Source_policy.class_name;
     Array.iteri
       (fun i (v, tag) ->
         if Taint.is_tainted tag then
@@ -92,7 +89,7 @@ let on_host_pre t (row : J.row) =
     in
     if Taint.is_tainted tag then begin
       Device.add_field_taint t.device ~obj_iref ~fid tag;
-      Flow_log.recordf t.log "TrustCallHandler[%s]: field taint := %a" row.J.name
+      Ring.logf t.log "TrustCallHandler[%s]: field taint := %a" row.J.name
         Taint.pp tag
     end
   | J.Array_elements { release = true; ty } ->
@@ -119,14 +116,14 @@ let on_host_pre t (row : J.row) =
          injects into its slots. *)
       match Device.pending_interp_args t.device with
       | Some (args, jm) ->
-        Flow_log.recordf t.log "dvmInterpret Begin";
-        Flow_log.recordf t.log "Method Name: %s" jm.Classes.m_name;
-        Flow_log.recordf t.log "Method Shorty: %s" jm.Classes.m_shorty;
+        Ring.logf t.log "dvmInterpret Begin";
+        Ring.logf t.log "Method Name: %s" jm.Classes.m_name;
+        Ring.logf t.log "Method Shorty: %s" jm.Classes.m_shorty;
         Array.iteri
           (fun i (_, tag) ->
             if Taint.is_tainted tag then begin
-              Flow_log.recordf t.log "args[%d] taint: %a" i Taint.pp tag;
-              Flow_log.recordf t.log "add taint to new method frame"
+              Ring.logf t.log "args[%d] taint: %a" i Taint.pp tag;
+              Ring.logf t.log "add taint to new method frame"
             end)
           args
       | None -> ())
@@ -168,7 +165,7 @@ let on_host_post t (row : J.row) =
     let tag = Device.field_taint t.device ~obj_iref ~fid in
     Taint_engine.set_reg t.engine 0 tag;
     if Taint.is_tainted tag then
-      Flow_log.recordf t.log "TrustCallHandler[%s]: t(r0) := %a" name Taint.pp tag
+      Ring.logf t.log "TrustCallHandler[%s]: t(r0) := %a" name Taint.pp tag
   | J.Array_elements { release = false; ty } -> (
     let arr = pre_reg 1 in
     let buf = Cpu.reg cpu 0 in
@@ -200,12 +197,12 @@ let on_host_post t (row : J.row) =
         Device.add_object_taint t.device ~iref tag;
         (match Device.object_addr t.device ~iref with
          | Some addr ->
-           Flow_log.recordf t.log "realStringAddr:0x%x" addr;
-           Flow_log.recordf t.log "add taint %a to new string object@0x%x" Taint.pp
+           Ring.logf t.log "realStringAddr:0x%x" addr;
+           Ring.logf t.log "add taint %a to new string object@0x%x" Taint.pp
              tag addr;
            Ring.emit_taint_mem t.log ~addr ~taint:(Taint.to_bits tag)
          | None -> ());
-        Flow_log.recordf t.log "NewStringUTF return 0x%x" iref
+        Ring.logf t.log "NewStringUTF return 0x%x" iref
       end
     | "NewString" ->
       let ptr = pre_reg 1 and len = pre_reg 2 in
@@ -217,23 +214,23 @@ let on_host_post t (row : J.row) =
       if Taint.is_tainted tag then Device.add_object_taint t.device ~iref tag
     | "dvmCreateStringFromCstr" ->
       let s = Memory.read_cstring mem (pre_reg 1) in
-      Flow_log.recordf t.log "dvmCreateStringFromCstr Begin";
-      Flow_log.recordf t.log "%s" s;
-      Flow_log.recordf t.log "dvmCreateStringFromCstr return 0x%x" (Cpu.reg cpu 0)
+      Ring.logf t.log "dvmCreateStringFromCstr Begin";
+      Ring.logf t.log "%s" s;
+      Ring.logf t.log "dvmCreateStringFromCstr return 0x%x" (Cpu.reg cpu 0)
     | "GetStringUTFChars" ->
       let jstring = pre_reg 1 in
       let buf = Cpu.reg cpu 0 in
       if buf <> 0 then begin
         let s = Memory.read_cstring mem buf in
         let tag = Device.object_taint t.device ~iref:jstring in
-        Flow_log.recordf t.log "TrustCallHandler[GetStringUTFChars] begin";
+        Ring.logf t.log "TrustCallHandler[GetStringUTFChars] begin";
         if Taint.is_tainted tag then begin
           Taint_engine.add_mem t.engine buf (String.length s + 1) tag;
           Taint_engine.set_reg t.engine 0 tag;
-          Flow_log.recordf t.log "jstring taint:%a" Taint.pp tag;
+          Ring.logf t.log "jstring taint:%a" Taint.pp tag;
           Ring.emit_taint_mem t.log ~addr:buf ~taint:(Taint.to_bits tag)
         end;
-        Flow_log.recordf t.log "TrustCallHandler[GetStringUTFChars] end"
+        Ring.logf t.log "TrustCallHandler[GetStringUTFChars] end"
       end
     | "GetStringChars" -> (
       let jstring = pre_reg 1 in
@@ -254,7 +251,7 @@ let on_host_post t (row : J.row) =
       Taint_engine.set_reg t.engine 0 arr_tag;
       if elem <> 0 && Taint.is_tainted arr_tag then
         Device.add_object_taint t.device ~iref:elem arr_tag
-    | "ThrowNew" -> Flow_log.recordf t.log "ThrowNew: exception carries native taint"
+    | "ThrowNew" -> Ring.logf t.log "ThrowNew: exception carries native taint"
     | "GetStringUTFRegion" | "GetStringRegion" ->
       (* Java string chars landed in a native buffer (arg 4, on the stack) *)
       let jstring = pre_reg 1 and len = pre_reg 3 in
@@ -316,8 +313,7 @@ let attach ?(use_multilevel = true) ?(gate = fun () -> true) device engine log =
       multilevel;
       use_multilevel;
       pre_stack = [];
-      policies_applied = 0;
-      always_hook_scans = 0 }
+      policies_applied = 0 }
   in
   if not use_multilevel then
     (* Ablation A2: hook every interpreter entry instead of only the ones a
@@ -327,7 +323,6 @@ let attach ?(use_multilevel = true) ?(gate = fun () -> true) device engine log =
         (fun jm ->
           if not (gate ()) then ()
           else begin
-          t.always_hook_scans <- t.always_hook_scans + 1;
           (* the scan the hook would do: inspect each would-be argument
              slot of the frame *)
           let n = Classes.ins_count jm in

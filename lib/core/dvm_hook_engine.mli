@@ -24,7 +24,7 @@ val attach :
   ?gate:(unit -> bool) ->
   Ndroid_runtime.Device.t ->
   Ndroid_emulator.Taint_engine.t ->
-  Flow_log.t ->
+  Ndroid_obs.Ring.t ->
   t
 (** Wire the engine into the device's machine.  [use_multilevel] defaults
     to [true]; [false] is ablation A2 (instrument every interpreter
@@ -50,9 +50,3 @@ val policies_applied : t -> int
 
 val multilevel_checks : t -> int
 (** Branch events the multilevel tracker inspected. *)
-
-val multilevel_level : t -> int
-(** Current chain depth (for tests). *)
-
-val always_hook_scans : t -> int
-(** dvmInterpret-entry scans performed in always-hook mode. *)

@@ -24,12 +24,11 @@ type focus_state = {
 type t = {
   t_device : Device.t;
   t_engine : Taint_engine.t;
-  t_log : Flow_log.t;
+  t_ring : Ndroid_obs.Ring.t;
   dvm_hooks : Dvm_hook_engine.t;
   syslib : Syslib_hook_engine.t;
   tracer : Tracer.t;
   t_focus : focus_state option;
-  _taintdroid : Taintdroid.t;
 }
 
 type stats = {
@@ -51,8 +50,8 @@ type stats = {
 }
 
 let attach ?(use_multilevel = true) ?(use_superblocks = false)
-    ?(use_summaries = false) ?trace_filter ?obs ?focus device =
-  let td = Taintdroid.attach device in
+    ?(use_summaries = false) ?obs ?focus device =
+  Taintdroid.attach device;
   let engine = Taint_engine.create () in
   let vm = Device.vm device in
   let fstate =
@@ -111,19 +110,17 @@ let attach ?(use_multilevel = true) ?(use_superblocks = false)
            jni_call_activates st meths nats ()
          | _ -> ())
    | None -> ());
-  (* One ring backs everything: the flow log is a rendering view over it,
-     the device (and through it the Dalvik VM and the machine) emits into
-     it, and provenance reconstruction reads it back. *)
-  let log =
-    match obs with
-    | Some ring -> Flow_log.of_ring ring
-    | None -> Flow_log.create ()
+  (* One ring backs everything: the engines log into it, the device (and
+     through it the Dalvik VM and the machine) emits into it, and the flow
+     log and provenance reconstruction read it back. *)
+  let ring =
+    match obs with Some ring -> ring | None -> Ndroid_obs.Ring.create ()
   in
-  Device.set_obs device (Flow_log.ring log);
+  Device.set_obs device ring;
   let dvm_hooks =
-    Dvm_hook_engine.attach ~use_multilevel ~gate device engine log
+    Dvm_hook_engine.attach ~use_multilevel ~gate device engine ring
   in
-  let syslib = Syslib_hook_engine.attach device engine log in
+  let syslib = Syslib_hook_engine.attach device engine ring in
   (* Java-side activation: the interpreter's invoke hook fires before the
      callee captures [track_taint], so a focused method runs fully
      tracked from its first bytecode. *)
@@ -141,7 +138,7 @@ let attach ?(use_multilevel = true) ?(use_superblocks = false)
    | None -> ());
   let machine = Device.machine device in
   let cpu = Machine.cpu machine in
-  let tracer = Tracer.create ?filter:trace_filter () in
+  let tracer = Tracer.create () in
   (* One instruction hook does the whole per-instruction job, in this
      order: a SourcePolicy registered at the address initialises the shadow
      registers, then, inside the traced region, the instruction's own
@@ -173,7 +170,7 @@ let attach ?(use_multilevel = true) ?(use_superblocks = false)
          ~on_block_entry:(fun addr ->
            if gate () then Dvm_hook_engine.on_insn dvm_hooks ~addr)
          ~is_boundary:(fun addr -> Source_policy.Table.mem table addr)
-         ~ring:(Flow_log.ring log) machine
+         ~ring machine
         : Superblock.t)
   end;
   (* The summary fast path skips the dvmCallJNIMethod bridge, so the JNI-
@@ -224,16 +221,21 @@ let attach ?(use_multilevel = true) ?(use_superblocks = false)
    | _ -> ());
   { t_device = device;
     t_engine = engine;
-    t_log = log;
+    t_ring = ring;
     dvm_hooks;
     syslib;
     tracer;
-    t_focus = Option.map (fun (st, _, _) -> st) fstate;
-    _taintdroid = td }
+    t_focus = Option.map (fun (st, _, _) -> st) fstate }
 
-let device t = t.t_device
 let engine t = t.t_engine
-let log t = t.t_log
+let log t =
+  List.rev
+    (Ndroid_obs.Ring.fold
+       (fun acc r ->
+         match Ndroid_obs.Event.render r with
+         | Some line -> line :: acc
+         | None -> acc)
+       [] t.t_ring)
 
 let stats t =
   let sb = Machine.superblocks (Device.machine t.t_device) in
@@ -263,6 +265,8 @@ let stats t =
 
 let leaks t = Ndroid_android.Sink_monitor.leaks (Device.monitor t.t_device)
 
+(* one sink-monitor leak in the unified flow shape ([f_site] is the leak's
+   destination detail) *)
 let flow_of_leak (l : Ndroid_android.Sink_monitor.leak) =
   { Ndroid_report.Flow.f_taint = l.Ndroid_android.Sink_monitor.taint;
     f_sink = l.Ndroid_android.Sink_monitor.sink;
@@ -281,8 +285,7 @@ let verdict t =
         Ndroid_taint.Taint.is_tainted l.Ndroid_android.Sink_monitor.taint)
       (leaks t)
   in
-  let ring = Flow_log.ring t.t_log in
-  let provenance flow = Ndroid_obs.Provenance.attach ring flow in
+  let provenance flow = Ndroid_obs.Provenance.attach t.t_ring flow in
   Ndroid_report.Verdict.normalize
     (Ndroid_report.Verdict.Flagged
        (List.map (fun l -> provenance (flow_of_leak l)) tainted))

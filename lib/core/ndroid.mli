@@ -43,7 +43,6 @@ val attach :
   ?use_multilevel:bool ->
   ?use_superblocks:bool ->
   ?use_summaries:bool ->
-  ?trace_filter:(int -> bool) ->
   ?obs:Ndroid_obs.Ring.t ->
   ?focus:Ndroid_report.Focus.t ->
   Ndroid_runtime.Device.t ->
@@ -54,27 +53,25 @@ val attach :
     hooks stop firing, so leave it off when per-insn tracing matters;
     [use_summaries] (default [false]) lets the JNI bridge apply
     digest-cached native taint summaries instead of emulating exact
-    function bodies; [trace_filter] overrides which addresses the
-    instruction tracer covers (default: the third-party app library region
-    only); [obs] supplies the observability hub backing the flow log, the
-    device's event stream and provenance reconstruction (default: a fresh
-    ring); [focus] (the hybrid pipeline's hand-off) starts the run with
+    function bodies; [obs] supplies the observability hub backing the flow
+    log, the device's event stream and provenance reconstruction (default:
+    a fresh ring); [focus] (the hybrid pipeline's hand-off) starts the run with
     tracking {e off} and every hook group dormant, ratcheting full
     instrumentation on — permanently — when control first enters a method
     or native function in the set.  An empty focus disables gating. *)
 
-val device : t -> Ndroid_runtime.Device.t
 val engine : t -> Ndroid_emulator.Taint_engine.t
-val log : t -> Flow_log.t
+val log : t -> string list
+(** The flow log: the ring's events in the paper's line vocabulary
+    ({!Ndroid_obs.Event.render}), oldest first.  Events with no such
+    spelling (method spans, instructions, phases) are left out, and so is
+    anything the ring has wrapped past. *)
+
 val stats : t -> stats
 
 val leaks : t -> Ndroid_android.Sink_monitor.leak list
 (** Everything the device's sink monitor has caught (Java and native
     context). *)
-
-val flow_of_leak : Ndroid_android.Sink_monitor.leak -> Ndroid_report.Flow.t
-(** Map one sink-monitor leak onto the unified flow shape ([f_site] is the
-    leak's destination detail). *)
 
 val verdict : t -> Ndroid_report.Verdict.t
 (** The dynamic run's unified verdict: [Flagged] with one flow per tainted

@@ -17,9 +17,6 @@ let to_report ?(app_name = "app") nd =
         ("summaries_applied", Json.Int stats.Ndroid.summaries_applied);
         ("sink_checks", Json.Int stats.Ndroid.sink_checks) ] }
 
-let json ?app_name nd =
-  Json.to_string (Verdict.report_to_json (to_report ?app_name nd))
-
 let generate ?(app_name = "app") ?(transmissions = []) ?(file_writes = []) nd =
   let buf = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
@@ -77,7 +74,7 @@ let generate ?(app_name = "app") ?(transmissions = []) ?(file_writes = []) nd =
   line "-- engine ----------------------------------------------------";
   line "%s" (Format.asprintf "%a" Ndroid.pp_stats (Ndroid.stats nd));
   line "";
-  let log = Flow_log.entries (Ndroid.log nd) in
+  let log = Ndroid.log nd in
   if log <> [] then begin
     line "-- flow log (%d entries) -------------------------------------"
       (List.length log);

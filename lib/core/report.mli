@@ -12,7 +12,6 @@ val to_report : ?app_name:string -> Ndroid.t -> Ndroid_report.Verdict.report
 (** The unified per-app report (analysis = ["dynamic"]): the run's
     {!Ndroid.verdict} plus engine counters as deterministic metadata. *)
 
-val json : ?app_name:string -> Ndroid.t -> string
 (** {!to_report} in canonical JSON. *)
 
 val generate :

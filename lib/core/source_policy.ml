@@ -81,9 +81,3 @@ module Table = struct
 
   let size table = Hashtbl.length table.tbl
 end
-
-let pp ppf p =
-  Format.fprintf ppf
-    "SourcePolicy{%s->%s shorty=%s addr=0x%x tR0=%a tR1=%a tR2=%a tR3=%a stack=%d}"
-    p.class_name p.method_name p.method_shorty p.method_address Taint.pp p.t_r0
-    Taint.pp p.t_r1 Taint.pp p.t_r2 Taint.pp p.t_r3 p.stack_args_num

@@ -48,5 +48,3 @@ module Table : sig
   val mem : t -> int -> bool
   val size : t -> int
 end
-
-val pp : Format.formatter -> t -> unit

@@ -11,7 +11,7 @@ module J = Ndroid_jni.Jni_names
 type t = {
   device : Device.t;
   engine : Taint_engine.t;
-  log : Flow_log.t;
+  log : Ring.t;
   mutable pre_regs : (string * int array) list;
   mutable pending_free : (int * int) option;  (* realloc: old ptr, old size *)
   mutable summaries : int;
@@ -42,8 +42,8 @@ let printf_taint t cpu mem ~fmt ~first =
       | A.Libc_model.Str { addr; value } ->
         let st = Taint_engine.mem t.engine addr (String.length value + 1) in
         if Taint.is_tainted st then begin
-          Flow_log.recordf t.log "t[%x] = %a" addr Taint.pp st;
-          Flow_log.recordf t.log "write: %s" value
+          Ring.logf t.log "t[%x] = %a" addr Taint.pp st;
+          Ring.logf t.log "write: %s" value
         end;
         tag := Taint.union !tag st
       | A.Libc_model.Num _ -> ())
@@ -64,7 +64,7 @@ let inspect ?scrub t ~sink ~taint ~data ~detail =
      | `Block -> (
        (* AppFence-style shadow data: scrub the payload before the modeled
           call reads it, so the effect proceeds with harmless bytes *)
-       Flow_log.recordf t.log "SinkHandler[%s]: BLOCKED (payload scrubbed)" sink;
+       Ring.logf t.log "SinkHandler[%s]: BLOCKED (payload scrubbed)" sink;
        match scrub with Some f -> f () | None -> ()));
     Ring.emit_sink_end t.log ~sink
   end
@@ -147,10 +147,10 @@ let on_pre t name cpu mem =
      | Some size -> t.pending_free <- Some (r 0, size)
      | None -> t.pending_free <- None)
   | "fopen" ->
-    Flow_log.recordf t.log "TrustCallHandler[fopen] begin";
-    Flow_log.recordf t.log "Open '%s'" (Memory.read_cstring mem (r 0));
-    Flow_log.recordf t.log "TrustCallHandler[fopen] end"
-  | "fclose" -> Flow_log.recordf t.log "TrustCallHandler[fclose] Close FILE@0x%x" (r 0)
+    Ring.logf t.log "TrustCallHandler[fopen] begin";
+    Ring.logf t.log "Open '%s'" (Memory.read_cstring mem (r 0));
+    Ring.logf t.log "TrustCallHandler[fopen] end"
+  | "fclose" -> Ring.logf t.log "TrustCallHandler[fclose] Close FILE@0x%x" (r 0)
   | _ -> ()
 
 (* Table VII native sinks: the row's sink mark says whether a call is one

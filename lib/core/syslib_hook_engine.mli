@@ -13,7 +13,10 @@
 type t
 
 val attach :
-  Ndroid_runtime.Device.t -> Ndroid_emulator.Taint_engine.t -> Flow_log.t -> t
+  Ndroid_runtime.Device.t ->
+  Ndroid_emulator.Taint_engine.t ->
+  Ndroid_obs.Ring.t ->
+  t
 
 val summaries_applied : t -> int
 (** Modeled-function taint summaries executed. *)

@@ -57,8 +57,3 @@ let classification_name = function
   | Type_II _ -> "Type II"
   | Type_III -> "Type III"
   | Not_native -> "not native"
-
-let uses_native_libraries app =
-  match classify app with
-  | Type_I -> true
-  | Type_II _ | Type_III | Not_native -> false

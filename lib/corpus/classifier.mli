@@ -31,7 +31,3 @@ val classify_dex_bytes :
 
 val dex_bytes_call_load : string -> bool
 (** Does this binary dex image invoke [System.loadLibrary]/[System.load]? *)
-
-val uses_native_libraries : App_model.t -> bool
-(** The headline "16.46% of them use native libraries" population:
-    Type I. *)

@@ -250,6 +250,8 @@ let presets =
       p_source = "Spreitzenbarth et al. [4]"; p_total = 30_000;
       p_type1_permille = 240 } ]
 
-let of_preset ?(seed = 2014) p =
-  if p.p_name = "play-2012-13" then { total = p.p_total; seed; type1_permille = None }
-  else { total = p.p_total; seed; type1_permille = Some p.p_type1_permille }
+let of_preset p =
+  if p.p_name = "play-2012-13" then
+    { total = p.p_total; seed = 2014; type1_permille = None }
+  else
+    { total = p.p_total; seed = 2014; type1_permille = Some p.p_type1_permille }

@@ -38,13 +38,6 @@ val generate : params -> App_model.t Seq.t
 val app : params -> int -> App_model.t
 (** Generate one app by id (0-based), identical to the stream's element. *)
 
-val source_sigs : string list
-val sink_sigs : string list
-(** The privacy-source / sink method references the leaky sub-population
-    carries (~12% of Type I, ~3% of plain-Java apps).  Materialized bodies
-    thread the source's result into the sink's argument, so a static triage
-    pass must keep these apps. *)
-
 val app_is_leaky : App_model.t -> bool
 (** Ground truth for the triage benchmark, rederived from the app's own
     method references (source AND sink present in the main dex). *)
@@ -65,4 +58,4 @@ type preset = {
 val presets : preset list
 (** The four published data points, oldest first. *)
 
-val of_preset : ?seed:int -> preset -> params
+val of_preset : preset -> params

@@ -41,8 +41,6 @@ type lib_entry = {
   le_top_category : App_model.category;  (** category bundling it most *)
 }
 
-val lib_kind_name : lib_kind -> string
-
 val library_distribution : App_model.t Seq.t -> lib_entry list
 (** Top libraries, descending by bundle count. *)
 

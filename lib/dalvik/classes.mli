@@ -41,9 +41,6 @@ val ins_count : method_def -> int
     methods, derived from the shorty (J and D take one of our registers,
     unlike real Dalvik — values are not split). *)
 
-val param_count : method_def -> int
-(** Parameters from the shorty, excluding [this] and the return type. *)
-
 val return_type : method_def -> char
 val qualified_name : method_def -> string
 (** ["Lcom/Foo;->bar"]. *)

@@ -5,8 +5,6 @@
     class definitions: class layout (fields, superclass), method headers
     (shorty, access, body kind) and bytecode listings with branch targets. *)
 
-val pp_method : Format.formatter -> Classes.method_def -> unit
-val pp_class : Format.formatter -> Classes.class_def -> unit
 val pp_classes : Format.formatter -> Classes.class_def list -> unit
 
 val native_methods : Classes.class_def list -> (string * string * string) list

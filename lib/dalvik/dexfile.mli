@@ -13,6 +13,3 @@ exception Bad_dex of string
 val to_string : Classes.class_def list -> string
 val of_string : string -> Classes.class_def list
 (** @raise Bad_dex on corrupt input. *)
-
-val magic : string
-(** ["dex\n042\x00"], like the real format's magic/version. *)

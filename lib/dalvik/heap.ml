@@ -17,19 +17,19 @@ type t = {
   by_addr : (int, int) Hashtbl.t;  (* direct pointer -> id *)
   mutable next_id : int;
   mutable bump : int;
-  base : int;
   mutable epoch : int;
-  mutable allocations : int;
 }
 
-let create ?(base = 0x41000000) () =
+(* start of the direct-pointer region, matching the addresses in the
+   paper's logs, e.g. [0x412a3320] *)
+let base = 0x41000000
+
+let create () =
   { objects = Hashtbl.create 256;
     by_addr = Hashtbl.create 256;
     next_id = 1;
     bump = base;
-    base;
-    epoch = 0;
-    allocations = 0 }
+    epoch = 0 }
 
 (* Object "sizes" for address spacing: enough that direct pointers look like
    real, distinct allocations in the logs. *)
@@ -50,7 +50,6 @@ let alloc h kind =
   let o = { id; addr; kind; taint = Taint.clear } in
   Hashtbl.replace h.objects id o;
   Hashtbl.replace h.by_addr addr id;
-  h.allocations <- h.allocations + 1;
   o
 
 let alloc_string h s = alloc h (String s)
@@ -77,16 +76,10 @@ let string_value h id =
   | String s -> s
   | Array _ | Instance _ -> invalid_arg "Heap.string_value: not a string"
 
-let set_string_value h id s =
-  let o = get h id in
-  match o.kind with
-  | String _ -> o.kind <- String s
-  | Array _ | Instance _ -> invalid_arg "Heap.set_string_value: not a string"
-
 let compact h =
   (* Two semispaces: alternate the bump base so every address changes. *)
   h.epoch <- h.epoch + 1;
-  let semispace = if h.epoch land 1 = 1 then h.base + 0x00400000 else h.base in
+  let semispace = if h.epoch land 1 = 1 then base + 0x00400000 else base in
   Hashtbl.reset h.by_addr;
   let bump = ref semispace in
   (* Move objects in ascending id order for determinism. *)
@@ -100,7 +93,4 @@ let compact h =
     (List.sort compare ids);
   h.bump <- !bump
 
-let epoch h = h.epoch
-let live_objects h = Hashtbl.length h.objects
-let allocations h = h.allocations
 let iter h f = Hashtbl.iter (fun _ o -> f o) h.objects

@@ -28,9 +28,9 @@ type obj = {
 
 type t
 
-val create : ?base:int -> unit -> t
-(** [base] is the start of the direct-pointer region (default 0x41000000,
-    matching the addresses in the paper's logs, e.g. [0x412a3320]). *)
+val create : unit -> t
+(** The direct-pointer region starts at 0x41000000, matching the addresses
+    in the paper's logs, e.g. [0x412a3320]. *)
 
 val alloc_string : t -> string -> obj
 val alloc_array : t -> string -> int -> obj
@@ -47,18 +47,8 @@ val find_by_addr : t -> int -> obj option
 val string_value : t -> int -> string
 (** Chars of a string object. @raise Invalid_argument on non-strings. *)
 
-val set_string_value : t -> int -> string -> unit
-
 val compact : t -> unit
 (** Move every live object to a fresh direct address (round-robin between
     two semispace bases) and bump the heap epoch.  Ids are preserved. *)
-
-val epoch : t -> int
-(** Number of compactions so far. *)
-
-val live_objects : t -> int
-
-val allocations : t -> int
-(** Total allocations since creation (CF-Bench MALLOCS accounting). *)
 
 val iter : t -> (obj -> unit) -> unit

@@ -30,6 +30,8 @@ let resolve table name =
   | Some i -> i
   | None -> err "undefined label %s" name
 
+(* Resolve labels to instruction indexes.  @raise Build_error on undefined
+   or duplicate labels. *)
 let code items =
   let table = label_table items in
   let insns =
@@ -72,8 +74,8 @@ let method_ ~cls ~name ~shorty ?(static = true) ?registers
   { Classes.m_class = cls; m_name = name; m_shorty = shorty; m_static = static;
     m_registers = registers; m_body = body }
 
-let native_method ~cls ~name ~shorty ?(static = true) symbol =
-  { Classes.m_class = cls; m_name = name; m_shorty = shorty; m_static = static;
+let native_method ~cls ~name ~shorty symbol =
+  { Classes.m_class = cls; m_name = name; m_shorty = shorty; m_static = true;
     m_registers = 0; m_body = Classes.Native symbol }
 
 let intrinsic_method ~cls ~name ~shorty ?(static = true) key =

@@ -13,10 +13,6 @@ type item =
 
 exception Build_error of string
 
-val code : item list -> Bytecode.t array
-(** Resolve labels to instruction indexes. @raise Build_error on undefined
-    or duplicate labels. *)
-
 val method_ :
   cls:string ->
   name:string ->
@@ -31,10 +27,9 @@ val method_ :
     catch-alls. [static] defaults to [true]. *)
 
 val native_method :
-  cls:string -> name:string -> shorty:string -> ?static:bool -> string ->
-  Classes.method_def
-(** [native_method ~cls ~name ~shorty symbol]: a method whose body is the
-    native function [symbol] in a loaded library. *)
+  cls:string -> name:string -> shorty:string -> string -> Classes.method_def
+(** [native_method ~cls ~name ~shorty symbol]: a static method whose body
+    is the native function [symbol] in a loaded library. *)
 
 val intrinsic_method :
   cls:string -> name:string -> shorty:string -> ?static:bool -> string ->

@@ -115,6 +115,7 @@ let link_insn (b : Bytecode.t) : insn =
     Packed_switch (r, first, targets)
   | Bytecode.Sparse_switch (r, entries) -> Sparse_switch (r, entries)
 
+(* The link pass: pure, allocates fresh (empty) site caches. *)
 let of_code code handlers =
   { l_src = code; l_code = Array.map link_insn code; l_handlers = handlers }
 

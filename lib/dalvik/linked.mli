@@ -92,8 +92,5 @@ and insn =
   | Packed_switch of int * int32 * int array
   | Sparse_switch of int * (int32 * int) array
 
-val of_code : Bytecode.t array -> Classes.handler list -> t
-(** The link pass: pure, allocates fresh (empty) site caches. *)
-
 val resolve : Classes.method_def -> resolved
 (** Link a method's body (fresh caches) and cache its arity. *)

@@ -204,8 +204,6 @@ let rec layout vm cls_name =
     Hashtbl.replace vm.layouts cls_name l;
     l
 
-let field_layout vm cls_name = (layout vm cls_name).lay_pairs
-
 let field_index vm cls_name f_name =
   match Hashtbl.find_opt (layout vm cls_name).lay_index f_name with
   | Some i -> i

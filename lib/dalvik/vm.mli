@@ -92,10 +92,6 @@ val define_method : t -> cls:string -> Classes.method_def -> unit
     absent).  A method with the same name and shorty already present is
     kept — app code wins over harness stubs. *)
 
-val vtable : t -> string -> vtable
-(** Memoized per-class method table; links every bytecode body on first
-    use. @raise Dvm_error when the class is absent. *)
-
 val find_method : t -> string -> string -> Classes.method_def
 (** [find_method vm cls name] resolves along the superclass chain by name
     only (JNI-style lookup). @raise Dvm_error when absent. *)
@@ -105,10 +101,6 @@ val find_method_arity : t -> string -> string -> int -> Linked.resolved
     count, so overloads dispatch correctly; falls back to the name-only hit
     when no overload matches the arity (callers then fail the arity check,
     like the seed did). @raise Dvm_error when absent. *)
-
-val field_layout : t -> string -> (string * int) list
-(** Flattened instance-field layout (field name, slot index) including
-    superclass fields. *)
 
 val field_index : t -> string -> string -> int
 val instance_size : t -> string -> int

@@ -16,11 +16,6 @@ let return_sentinel = 0xFFFF0000
 let in_range ~base ~size addr = addr >= base && addr < base + size
 let in_app_lib addr = in_range ~base:app_lib_base ~size:app_lib_size addr
 
-let in_system_lib addr =
-  in_range ~base:libdvm_base ~size:libdvm_size addr
-  || in_range ~base:libc_base ~size:libc_size addr
-  || in_range ~base:libm_base ~size:libm_size addr
-
 let regions =
   [ ("libdvm.so", libdvm_base, libdvm_size);
     ("libc.so", libc_base, libc_size);

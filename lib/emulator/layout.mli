@@ -8,25 +8,15 @@
     native method entry at 0x4a2c7d88). *)
 
 val libdvm_base : int
-val libdvm_size : int
 val libc_base : int
-val libc_size : int
 val libm_base : int
-val libm_size : int
 val app_lib_base : int
-val app_lib_size : int
-val java_heap_base : int
-val native_heap_base : int
-val native_heap_size : int
 val stack_top : int
-val stack_size : int
 
 val return_sentinel : int
 (** PC value meaning "return to the host caller"; never a real address. *)
 
-val in_range : base:int -> size:int -> int -> bool
 val in_app_lib : int -> bool
-val in_system_lib : int -> bool
 
 val regions : (string * int * int) list
 (** The static memory map as (name, base, size), used by the OS-level view

@@ -91,7 +91,6 @@ type t = {
   mutable obs : Ring.t;
   mutable icache : Icache.t option;
   mutable insn_count : int;
-  mutable host_calls : int;
   mutable libs : (string * int * int) list;
   mutable fuel : int;  (* set by the outermost call_native; -1 = unlimited *)
   mutable host_work : int;
@@ -126,7 +125,6 @@ let create () =
       obs = Ring.disabled;
       icache = Some (Icache.create ());
       insn_count = 0;
-      host_calls = 0;
       libs = Layout.regions;
       fuel = -1;
       host_work = 2500;
@@ -228,7 +226,6 @@ let call_host t ~from_ name =
   let (Hosts (l, ctx)) = t.hosts in
   let e = Hashtbl.find l.l_by_name name in
   let addr = e.e_fn.hf_addr in
-  t.host_calls <- t.host_calls + 1;
   burn_host_work t;
   emit_branch t ~from_ ~to_:addr ~is_call:true;
   run_host t ctx e;
@@ -322,7 +319,6 @@ let exec_block t sb b =
     then ok := false;
     incr i
   done;
-  Superblock.note_insns sb !i;
   !ok
 
 (* Block-execution loop: probe (or chain to) a block at the current PC and
@@ -339,7 +335,6 @@ let exec_blocks t sb pc0 =
     if
       p = Layout.return_sentinel
       || (in_host_range t p && is_host_fn t p)
-      || not (Superblock.wants sb p)
     then continue_ := false
     else begin
       match
@@ -369,7 +364,6 @@ let step_host t pc =
   | exception Not_found -> false
   | e ->
     burn t;
-    t.host_calls <- t.host_calls + 1;
     burn_host_work t;
     run_host t ctx e;
     true
@@ -391,8 +385,8 @@ let step t =
   end
   else
     match t.sb with
-    | Some sb when Superblock.wants sb pc -> exec_blocks t sb pc
-    | _ -> step_insn t pc
+    | Some sb -> exec_blocks t sb pc
+    | None -> step_insn t pc
 
 let call_native t ?(fuel = 50_000_000) ~addr ~args ?(stack_args = []) () =
   let cpu = t.m_cpu in
@@ -436,21 +430,15 @@ let call_native t ?(fuel = 50_000_000) ~addr ~args ?(stack_args = []) () =
       (Cpu.reg cpu 0, Cpu.reg cpu 1))
 
 let insn_count t = t.insn_count
-let host_calls t = t.host_calls
 let libs t = t.libs
 
 let enable_superblocks ?engine ?(on_block_entry = fun (_ : int) -> ())
-    ?is_boundary ?filter ?ring t =
-  let sb = Superblock.create ?filter ?is_boundary () in
+    ?is_boundary ?ring t =
+  let sb = Superblock.create ?is_boundary () in
   (match ring with Some r -> Superblock.set_ring sb r | None -> ());
   t.sb <- Some sb;
   t.sb_engine <- engine;
   t.sb_entry <- on_block_entry;
   sb
-
-let disable_superblocks t =
-  t.sb <- None;
-  t.sb_engine <- None;
-  t.sb_entry <- ignore
 
 let superblocks t = t.sb

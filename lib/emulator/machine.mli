@@ -161,14 +161,13 @@ val enable_superblocks :
   ?engine:Taint_engine.t ->
   ?on_block_entry:(int -> unit) ->
   ?is_boundary:(int -> bool) ->
-  ?filter:(int -> bool) ->
   ?ring:Ndroid_obs.Ring.t ->
   t ->
   Superblock.t
-(** Switch guest execution (for PCs accepted by [filter]) from the per-
-    instruction fetch/decode/event loop to superblock execution: straight-
-    line regions pre-decoded once, with Table V taint transfers fused at
-    translate time and applied against [engine].  [on_block_entry] runs at
+(** Switch guest execution from the per-instruction fetch/decode/event
+    loop to superblock execution: straight-line regions pre-decoded once,
+    with Table V taint transfers fused at translate time and applied
+    against [engine].  [on_block_entry] runs at
     every block entry (source-policy application); [is_boundary] addresses
     always start a block.  Note that block execution calls {e no}
     instruction hooks and records no instructions in the obs ring — taint
@@ -176,13 +175,11 @@ val enable_superblocks :
     combined with analyses that depend on per-instruction hooks (the attach
     layer keeps per-insn tracing and superblocks mutually exclusive). *)
 
-val disable_superblocks : t -> unit
 val superblocks : t -> Superblock.t option
 
 val insn_count : t -> int
 (** Guest instructions executed so far. *)
 
-val host_calls : t -> int
 val libs : t -> (string * int * int) list
 (** Loaded/mounted regions (name, base, size) — input to the OS-level view
     reconstructor. *)

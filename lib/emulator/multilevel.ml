@@ -14,11 +14,6 @@ let create ~chain ~in_native =
   { chain = Array.of_list chain; in_native; level = 0; returns = []; checks = 0 }
 
 let level t = t.level
-let active t = t.level > 0
-
-let reset t =
-  t.level <- 0;
-  t.returns <- []
 
 let checks t = t.checks
 

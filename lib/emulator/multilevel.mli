@@ -37,10 +37,5 @@ val observe : t -> from_:int -> to_:int -> action option
 val level : t -> int
 (** Current depth: 0 = not on the path, k = conditions T1..Tk hold. *)
 
-val active : t -> bool
-(** [level t > 0]. *)
-
-val reset : t -> unit
-
 val checks : t -> int
 (** Number of branch events inspected (ablation A2 accounting). *)

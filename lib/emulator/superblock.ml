@@ -48,49 +48,36 @@ type block = {
 type t = {
   tbl : block option array;
   mask : int;
-  max_insns : int;
-  filter : int -> bool;
   is_boundary : int -> bool;
   mutable ring : Ring.t;
   mutable bgen : int;
   mutable compiles : int;
   mutable hits : int;
   mutable invalidations : int;
-  mutable insns : int;  (* instructions retired through block execution *)
   scratch : Taint.t array;  (* entry-register taints for fused application *)
 }
 
-let default_slots = 2048
+(* direct-mapped table size (a power of two, for the mask) and the longest
+   block translated *)
+let slots = 2048
+let max_insns = 32
 
-let create ?(slots = default_slots) ?(max_insns = 32)
-    ?(filter = fun _ -> true) ?(is_boundary = fun _ -> false) () =
-  let slots = max 16 slots in
-  let slots =
-    (* round up to a power of two for the mask *)
-    let rec up n = if n >= slots then n else up (n * 2) in
-    up 16
-  in
+let create ?(is_boundary = fun _ -> false) () =
   { tbl = Array.make slots None;
     mask = slots - 1;
-    max_insns = max 1 max_insns;
-    filter;
     is_boundary;
     ring = Ring.disabled;
     bgen = 0;
     compiles = 0;
     hits = 0;
     invalidations = 0;
-    insns = 0;
     scratch = Array.make 16 Taint.clear }
 
 let set_ring t ring = t.ring <- ring
-let wants t addr = t.filter addr
 let flush t = t.bgen <- t.bgen + 1
 let compiles t = t.compiles
 let hits t = t.hits
 let invalidations t = t.invalidations
-let insns t = t.insns
-let note_insns t n = t.insns <- t.insns + n
 
 (* ---- block boundaries ---- *)
 
@@ -218,13 +205,15 @@ let taint_ops insns =
 
 (* ---- translation ---- *)
 
+(* Decode a fresh block at an address (no cache interaction); [None] if
+   even the first instruction fails to decode. *)
 let translate t cpu mem addr =
   let gen = Memory.code_gen mem in
   let rev = ref [] in
   let count = ref 0 in
   let pos = ref addr in
   let stop = ref false in
-  (while not !stop && !count < t.max_insns do
+  (while not !stop && !count < max_insns do
      match Exec.fetch_decode cpu mem !pos with
      | exception Exec.Undefined _ -> stop := true
      | insn, size ->

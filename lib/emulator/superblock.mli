@@ -40,32 +40,18 @@ type block = {
 
 type t
 
-val create :
-  ?slots:int ->
-  ?max_insns:int ->
-  ?filter:(int -> bool) ->
-  ?is_boundary:(int -> bool) ->
-  unit ->
-  t
-(** Direct-mapped block cache.  [filter] limits which PCs are eligible for
-    block execution at all; [is_boundary] marks addresses blocks must not
-    run through (source-policy entry points get their policy applied at
-    block entry, so they must {e start} a block). *)
+val create : ?is_boundary:(int -> bool) -> unit -> t
+(** Direct-mapped block cache of 2048 blocks of at most 32 instructions.
+    [is_boundary] marks addresses blocks must not run through
+    (source-policy entry points get their policy applied at block entry,
+    so they must {e start} a block). *)
 
 val set_ring : t -> Ndroid_obs.Ring.t -> unit
 (** Observability hub for [sb_compile] events (default: disabled ring). *)
 
-val wants : t -> int -> bool
-(** Does the eligibility filter accept this PC? *)
-
 val flush : t -> unit
 (** Invalidate every cached block (lazily, by bumping the boundary
     generation) — called when a new source-policy address appears. *)
-
-val translate : t -> Ndroid_arm.Cpu.t -> Ndroid_arm.Memory.t -> int ->
-  block option
-(** Decode a fresh block at an address (no cache interaction); [None] if
-    even the first instruction fails to decode. *)
 
 val probe : t -> Ndroid_arm.Cpu.t -> Ndroid_arm.Memory.t -> int ->
   block option
@@ -90,10 +76,6 @@ val fuse : Ndroid_arm.Insn.t array -> (int * int) array option
     (rd, entry-register dependence mask) pairs, or [None] if any
     instruction's rule needs live CPU state. *)
 
-val note_insns : t -> int -> unit
-(** Account instructions retired through block execution. *)
-
 val compiles : t -> int
 val hits : t -> int
 val invalidations : t -> int
-val insns : t -> int

@@ -19,7 +19,6 @@ let create () =
 
 let reg t i = Shadow_regs.get t.regs i
 let set_reg t i tag = Shadow_regs.set t.regs i tag
-let add_reg t i tag = Shadow_regs.add t.regs i tag
 let sreg t i = Shadow_regs.get t.sregs i
 let set_sreg t i tag = Shadow_regs.set t.sregs i tag
 let dreg t i = Shadow_regs.get t.dregs i
@@ -44,5 +43,3 @@ let reset t =
   Shadow_regs.clear_all t.sregs;
   Shadow_regs.clear_all t.dregs;
   Taint_map.reset t.map
-
-let taint_map t = t.map

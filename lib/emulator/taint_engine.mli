@@ -18,7 +18,6 @@ val create : unit -> t
 
 val reg : t -> int -> Taint.t
 val set_reg : t -> int -> Taint.t -> unit
-val add_reg : t -> int -> Taint.t -> unit
 
 val sreg : t -> int -> Taint.t
 (** Shadow of VFP single register s<i>. *)
@@ -43,6 +42,3 @@ val op2_taint : t -> Insn.operand2 -> Taint.t
 val tainted_bytes : t -> int
 val any_reg_tainted : t -> bool
 val reset : t -> unit
-
-val taint_map : t -> Ndroid_taint.Taint_map.t
-(** Direct access for the system-lib hook engine. *)

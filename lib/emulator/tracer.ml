@@ -1,9 +1,9 @@
-type t = { filter : int -> bool; mutable traced : int; mutable skipped : int }
+type t = { mutable traced : int; mutable skipped : int }
 
-let create ?(filter = Layout.in_app_lib) () = { filter; traced = 0; skipped = 0 }
+let create () = { traced = 0; skipped = 0 }
 
 let admit t addr =
-  if t.filter addr then begin
+  if Layout.in_app_lib addr then begin
     t.traced <- t.traced + 1;
     true
   end

@@ -2,15 +2,12 @@ type 'a t = {
   mutable data : 'a array;
   mutable len : int;
   dummy : 'a;
-  mutable high_water : int;
 }
 
-let create ?(capacity = 16) dummy =
-  { data = Array.make (max capacity 1) dummy; len = 0; dummy; high_water = 0 }
+let create dummy =
+  { data = Array.make 16 dummy; len = 0; dummy }
 
 let reset p = p.len <- 0
-let length p = p.len
-let high_water p = p.high_water
 
 let push p x =
   let n = Array.length p.data in
@@ -20,7 +17,6 @@ let push p x =
     p.data <- data
   end;
   p.data.(p.len) <- x;
-  p.len <- p.len + 1;
-  if p.len > p.high_water then p.high_water <- p.len
+  p.len <- p.len + 1
 
 let emit p = Array.sub p.data 0 p.len

@@ -14,17 +14,11 @@
 
 type 'a t
 
-val create : ?capacity:int -> 'a -> 'a t
+val create : 'a -> 'a t
 (** [create dummy] makes an empty pool; [dummy] fills unused slots. *)
 
 val reset : 'a t -> unit
 (** Empty the pool (keeps the backing store). *)
-
-val length : 'a t -> int
-
-val high_water : 'a t -> int
-(** Widest crossing ever marshaled through this pool — a cheap size
-    metric for the observability registry. *)
 
 val push : 'a t -> 'a -> unit
 (** Append, growing the backing store geometrically when full. *)

@@ -152,12 +152,3 @@ let render_fields ~kind ~name ~detail ~addr ~taint =
 let render r =
   render_fields ~kind:r.e_kind ~name:r.e_name ~detail:r.e_detail ~addr:r.e_addr
     ~taint:r.e_taint
-
-let renderable = function
-  | K_log | K_arg_taint | K_source | K_policy_apply | K_taint_reg | K_taint_mem
-  | K_jni_ret | K_sink_begin | K_sink | K_sink_end ->
-    true
-  | K_invoke | K_return | K_jni_begin | K_jni_end | K_gc_begin | K_gc_end
-  | K_phase_begin | K_phase_end | K_insn | K_host_enter | K_host_leave
-  | K_sb_compile | K_summary_apply ->
-    false

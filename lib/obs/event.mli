@@ -74,6 +74,3 @@ val render : record -> string option
 (** The event's legacy flow-log line (Fig. 6-9 vocabulary), or [None] for
     kinds that never appeared in the string log.  This is the single home
     of the formatting previously duplicated across the hook engines. *)
-
-val renderable : kind -> bool
-(** [render] would return [Some _] (decidable without formatting). *)

@@ -12,12 +12,7 @@
     Timestamps are the ring's own sequence numbers interpreted as
     microseconds — a deterministic logical clock, not wall time. *)
 
-val chrome : Ring.t -> Ndroid_report.Json.t
 val chrome_events : Ring.t -> Ndroid_report.Json.t list
 val to_chrome_string : Ring.t -> string
-
-val event_json : Event.record -> Ndroid_report.Json.t
-(** Delegates to {!Stream.event_json} — the one per-event codec shared
-    with the live trace stream. *)
 
 val to_jsonl_string : Ring.t -> string

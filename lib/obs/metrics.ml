@@ -59,12 +59,6 @@ let observe h v =
   h.h_buckets.(b) <- h.h_buckets.(b) + 1
 
 let hist_count h = h.h_count
-let hist_sum h = h.h_sum
-let hist_mean h = if h.h_count = 0 then 0.0 else h.h_sum /. float_of_int h.h_count
-
-let counters t =
-  Hashtbl.fold (fun k c acc -> (k, c.c_value) :: acc) t.counters []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let hist_to_json h =
   (* drop the all-zero tail so small registries stay readable *)

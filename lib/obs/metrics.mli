@@ -26,20 +26,12 @@ val value : counter -> int
 val histogram : t -> string -> histogram
 (** Find or register. *)
 
-val n_buckets : int
-
 val observe : histogram -> float -> unit
 (** Record a float observation (e.g. seconds); bucketed in microseconds. *)
 
 val observe_int : histogram -> int -> unit
-val bucket_of_int : int -> int
 
 val hist_count : histogram -> int
-val hist_sum : histogram -> float
-val hist_mean : histogram -> float
-
-val counters : t -> (string * int) list
-(** Sorted by name. *)
 
 val to_json : t -> Ndroid_report.Json.t
 (** [{"counters": {...}, "histograms": {name: {count, sum, buckets}}}] *)

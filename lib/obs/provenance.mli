@@ -8,9 +8,5 @@
     the flow itself (Java-context sinks decide without emitting events),
     so any flow with non-zero taint gets at least [source? ... sink]. *)
 
-val hops :
-  Ring.t -> taint:int -> sink:string -> site:string -> Ndroid_report.Flow.hop list
-(** Empty when [taint = 0]. *)
-
 val attach : Ring.t -> Ndroid_report.Flow.t -> Ndroid_report.Flow.t
 (** Fill [f_hops] from the ring; leaves already-populated chains alone. *)

@@ -80,6 +80,8 @@ let emit_log t line =
     point t E.K_log ~name:line ~detail:"" ~addr:0 ~taint:0
   end
 
+let logf t fmt = Format.kasprintf (emit_log t) fmt
+
 let emit_invoke t name =
   if t.on then point t E.K_invoke ~name ~detail:"" ~addr:0 ~taint:0
 
@@ -151,12 +153,6 @@ let emit_gc_begin t =
 
 let emit_gc_end t =
   if t.on then point t E.K_gc_end ~name:"gc" ~detail:"" ~addr:0 ~taint:0
-
-let emit_phase_begin t name =
-  if t.on then point t E.K_phase_begin ~name ~detail:"" ~addr:0 ~taint:0
-
-let emit_phase_end t name =
-  if t.on then point t E.K_phase_end ~name ~detail:"" ~addr:0 ~taint:0
 
 let emit_insn t ~addr insn =
   if t.on && t.tracing then begin

@@ -53,6 +53,11 @@ val clear : t -> unit
 (** {1 Emitters} — no-ops unless [on] ([emit_insn]: unless [tracing]). *)
 
 val emit_log : t -> string -> unit
+
+val logf : t -> ('a, Format.formatter, unit, unit) format4 -> 'a
+(** Format a flow-log line (the paper's Figs. 6-9 vocabulary) and
+    {!emit_log} it. *)
+
 val emit_invoke : t -> string -> unit
 val emit_return : t -> string -> unit
 val emit_jni_begin : t -> name:string -> direction:string -> taint:int -> unit
@@ -68,8 +73,6 @@ val emit_sink : t -> sink:string -> detail:string -> taint:int -> unit
 val emit_sink_end : t -> sink:string -> unit
 val emit_gc_begin : t -> unit
 val emit_gc_end : t -> unit
-val emit_phase_begin : t -> string -> unit
-val emit_phase_end : t -> string -> unit
 val emit_insn : t -> addr:int -> Ndroid_arm.Insn.t -> unit
 val emit_host_enter : t -> string -> unit
 val emit_host_leave : t -> string -> unit

@@ -136,22 +136,15 @@ let dropped th = th.th_dropped
 
 type tap = {
   tp_throttle : throttle;
-  tp_cats : string list;  (* [] = all categories *)
   mutable tp_cursor : int;  (* next absolute seq to read *)
   mutable tp_missed : int;  (* lost to wraparound before we drained *)
 }
 
-let tap ?(window = 0) ?(cats = []) () =
-  { tp_throttle = throttle ~window; tp_cats = cats; tp_cursor = 0;
-    tp_missed = 0 }
+let tap ?(window = 0) () =
+  { tp_throttle = throttle ~window; tp_cursor = 0; tp_missed = 0 }
 
 let tap_dropped tp = dropped tp.tp_throttle
 let tap_missed tp = tp.tp_missed
-
-let wants tp kind =
-  match tp.tp_cats with
-  | [] -> true
-  | cats -> List.mem (E.category kind) cats
 
 (* The ring maintains [next = total mod cap] (clear resets both), so the
    cell holding absolute seq [i] — if it still does — is [cells.(i mod cap)].
@@ -168,11 +161,8 @@ let drain tp ring =
   let cap = Ring.capacity ring in
   let out = ref [] in
   for i = first to total - 1 do
-    let r = ring.Ring.cells.(i mod cap) in
-    if wants tp r.E.e_kind then begin
-      let ev = of_record r in
-      if admit tp.tp_throttle ev then out := ev :: !out
-    end
+    let ev = of_record ring.Ring.cells.(i mod cap) in
+    if admit tp.tp_throttle ev then out := ev :: !out
   done;
   tp.tp_cursor <- total;
   List.rev !out

@@ -57,15 +57,13 @@ val dropped : throttle -> int
 
 type tap
 
-val tap : ?window:int -> ?cats:string list -> unit -> tap
-(** [cats] filters on {!Event.category} names ([[]] = all); category
-    rejections are silent (not counted as {!tap_dropped}). *)
+val tap : ?window:int -> unit -> tap
 
 val drain : tap -> Ring.t -> event list
 (** Collect everything emitted since the previous drain that is still in
-    the ring, in seq order, category-filtered then throttled.  Events
-    reclaimed by wraparound before the drain add to {!tap_missed}.  A
-    cleared ring (seq clock restart) resets the cursor, not the counters. *)
+    the ring, in seq order, throttled.  Events reclaimed by wraparound
+    before the drain add to {!tap_missed}.  A cleared ring (seq clock
+    restart) resets the cursor, not the counters. *)
 
 val tap_dropped : tap -> int
 (** Throttle-suppressed events over the tap's life. *)

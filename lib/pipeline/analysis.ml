@@ -326,7 +326,6 @@ type service = {
   sv_digest_memo : string memo;  (* subject+mode -> digest *)
   sv_memo : Verdict.report memo;  (* digest -> warm report *)
   mutable sv_requests : int;
-  mutable sv_hits : int;  (* memo + disk together *)
 }
 
 let default_capacity = 65536
@@ -337,8 +336,7 @@ let service ?cache ?(capacity = default_capacity) () =
     sv_lock = Mutex.create ();
     sv_digest_memo = memo_create capacity;
     sv_memo = memo_create capacity;
-    sv_requests = 0;
-    sv_hits = 0 }
+    sv_requests = 0 }
 
 let locked sv f =
   Mutex.lock sv.sv_lock;
@@ -351,7 +349,6 @@ let locked sv f =
     raise exn
 
 let service_requests sv = locked sv (fun () -> sv.sv_requests)
-let service_hits sv = locked sv (fun () -> sv.sv_hits)
 
 let service_evictions sv =
   locked sv (fun () ->
@@ -384,22 +381,13 @@ let service_find sv (task : Task.t) =
   if task.Task.t_fault <> None then None
   else begin
     let d = service_digest sv task in
-    match
-      locked sv (fun () ->
-          match memo_find sv.sv_memo d with
-          | Some report ->
-            sv.sv_hits <- sv.sv_hits + 1;
-            Some report
-          | None -> None)
-    with
+    match locked sv (fun () -> memo_find sv.sv_memo d) with
     | Some report -> Some (report, d)
     | None -> (
       (* disk probe outside the lock; a racing domain reads the same file *)
       match Option.bind sv.sv_cache (fun c -> Cache.find c ~key:d) with
       | Some report ->
-        locked sv (fun () ->
-            sv.sv_hits <- sv.sv_hits + 1;
-            memo_add sv.sv_memo d report);
+        locked sv (fun () -> memo_add sv.sv_memo d report);
         Some (report, d)
       | None -> None)
   end

@@ -7,12 +7,6 @@
     ({!Ndroid_report.Verdict.report}).  Forked workers call {!run}; domain
     workers and the in-process paths go through {!service_run}. *)
 
-val version : string
-(** Analyzer-version component of every cache key.  Bump whenever a change
-    to the static or dynamic analyzers can alter a report's bytes, or the
-    {!Cache} entry format changes, so stale cached results from older
-    binaries can never be served. *)
-
 val feature_key : string
 (** The dynamic path's feature switches (superblocks, native summaries,
     focus gating), folded into every cache key so flipping one invalidates
@@ -85,9 +79,6 @@ val service_digest : service -> Task.t -> string
 (** {!digest}, memoized per subject+mode. *)
 
 val service_requests : service -> int
-val service_hits : service -> int
-(** Requests answered through {!service_run} and how many of those hit
-    the warm layer or disk cache. *)
 
 val service_evictions : service -> int
 (** Entries evicted from the two memo tables (second-chance) since the

@@ -29,9 +29,9 @@ let read_file path =
     close_in_noerr ic;
     data
 
-(* An entry is the hex MD5 of the report bytes, a newline, then the
-   bytes: a torn or altered entry fails the checksum and reads as a
-   miss, never as some other report. *)
+(* An entry is the hex MD5 of its bytes, a newline, then the bytes: a
+   torn or altered entry fails the checksum and reads as a miss, never as
+   some other report or blob. *)
 let checked data =
   match String.index_opt data '\n' with
   | Some 32 ->
@@ -40,57 +40,38 @@ let checked data =
     else None
   | _ -> None
 
-let find t ~key =
-  let result =
-    match Option.bind (read_file (path t key)) checked with
-    | None -> None
-    | Some body -> (
-      match Json.of_string body with
-      | Error _ -> None
-      | Ok j -> (
-        match Verdict.report_of_json j with
-        | Ok report -> Some report
-        | Error _ -> None))
-  in
+let count t result =
   (match result with
    | Some _ -> t.hits <- t.hits + 1
    | None -> t.misses <- t.misses + 1);
   result
 
-let store t ~key report =
+let read t key = Option.bind (read_file (path t key)) checked
+
+let find_raw t ~key = count t (read t key)
+
+let store_raw t ~key body =
   let final = path t key in
   let tmp = tmp_name final in
   match open_out_bin tmp with
   | exception Sys_error _ -> ()
   | oc ->
-    let body = Json.to_string (Verdict.report_to_json report) in
     output_string oc (Digest.to_hex (Digest.string body));
     output_char oc '\n';
     output_string oc body;
     close_out_noerr oc;
     (try Sys.rename tmp final with Sys_error _ -> ())
 
-(* Raw side entries (native taint summaries, keyed by library digest):
-   opaque blobs in the same directory under their own key namespace, with
-   the same tmp + rename write discipline and the same hit/miss
-   accounting. *)
+(* Reports are entries whose body is the report's canonical JSON. *)
+let report_of_body body =
+  match Json.of_string body with
+  | Error _ -> None
+  | Ok j -> Result.to_option (Verdict.report_of_json j)
 
-let find_raw t ~key =
-  let result = read_file (path t key) in
-  (match result with
-   | Some _ -> t.hits <- t.hits + 1
-   | None -> t.misses <- t.misses + 1);
-  result
+let find t ~key = count t (Option.bind (read t key) report_of_body)
 
-let store_raw t ~key data =
-  let final = path t key in
-  let tmp = tmp_name final in
-  match open_out_bin tmp with
-  | exception Sys_error _ -> ()
-  | oc ->
-    output_string oc data;
-    close_out_noerr oc;
-    (try Sys.rename tmp final with Sys_error _ -> ())
+let store t ~key report =
+  store_raw t ~key (Json.to_string (Verdict.report_to_json report))
 
 let hits t = t.hits
 let misses t = t.misses

@@ -11,7 +11,6 @@
 
 module Device = Ndroid_runtime.Device
 module Vm = Ndroid_dalvik.Vm
-module Classes = Ndroid_dalvik.Classes
 module Jbuilder = Ndroid_dalvik.Jbuilder
 module Dvalue = Ndroid_dalvik.Dvalue
 module Taint = Ndroid_taint.Taint

@@ -1,4 +1,3 @@
-module Json = Ndroid_report.Json
 module Verdict = Ndroid_report.Verdict
 module Event = Ndroid_obs.Event
 module Stream = Ndroid_obs.Stream

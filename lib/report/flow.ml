@@ -36,8 +36,6 @@ let pp ppf f =
          pp_hop)
       hops
 
-let to_string f = Format.asprintf "%a" pp f
-
 (* Provenance hops are evidence, not identity: two reports of the same
    leak (say one static, one dynamic) must still deduplicate. *)
 let key f =

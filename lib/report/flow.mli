@@ -29,12 +29,7 @@ type t = {
   f_hops : hop list;  (** source→sink provenance chain; [[]] if unknown *)
 }
 
-val context_name : context -> string
-val context_of_name : string -> context option
-
 val pp : Format.formatter -> t -> unit
-val pp_hop : Format.formatter -> hop -> unit
-val to_string : t -> string
 
 val key : t -> string * string * string * int
 (** Deduplication key (sink, context, site, taint bits); ignores hops. *)
@@ -43,9 +38,6 @@ val compare : t -> t -> int
 (** Total order used for the canonical flow ordering in reports. *)
 
 val equal : t -> t -> bool
-
-val hop_to_json : hop -> Json.t
-val hop_of_json : Json.t -> (hop, string) result
 
 val to_json : t -> Json.t
 (** Emits a ["provenance"] array when [f_hops] is non-empty. *)

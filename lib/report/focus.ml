@@ -29,26 +29,6 @@ let make ~methods ~natives ~crossings =
     natives = dedup natives;
     crossings = dedup crossings }
 
-let union a b =
-  make ~methods:(a.methods @ b.methods) ~natives:(a.natives @ b.natives)
-    ~crossings:(a.crossings @ b.crossings)
-
-let qualified ~cls ~name = cls ^ "->" ^ name
-let mem_method f ~cls ~name = List.mem (qualified ~cls ~name) f.methods
-let mem_native f sym = List.mem sym f.natives
-
-let size f =
-  List.length f.methods + List.length f.natives + List.length f.crossings
-
-let pp ppf f =
-  Fmt.pf ppf "focus{methods=[%a]; natives=[%a]; crossings=[%a]}"
-    Fmt.(list ~sep:(any "; ") string)
-    f.methods
-    Fmt.(list ~sep:(any "; ") string)
-    f.natives
-    Fmt.(list ~sep:(any "; ") string)
-    f.crossings
-
 let strings_to_json xs = Json.List (List.map (fun s -> Json.Str s) xs)
 
 let strings_of_json = function

@@ -19,14 +19,5 @@ val make :
   methods:string list -> natives:string list -> crossings:string list -> t
 (** Deduplicates each component, preserving first-seen order. *)
 
-val union : t -> t -> t
-
-val qualified : cls:string -> name:string -> string
-(** ["Lcls;" ^ "->" ^ name], the method spelling used in [methods]. *)
-
-val mem_method : t -> cls:string -> name:string -> bool
-val mem_native : t -> string -> bool
-val size : t -> int
-val pp : Format.formatter -> t -> unit
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result

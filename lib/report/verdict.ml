@@ -133,16 +133,3 @@ let report_of_json j =
   Ok { r_app = app; r_analysis = analysis; r_verdict = verdict; r_meta = meta }
 
 let reports_to_json rs = Json.List (List.map report_to_json rs)
-
-let reports_of_json = function
-  | Json.List items ->
-    let* reports =
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          let* r = report_of_json item in
-          Ok (r :: acc))
-        (Ok []) items
-    in
-    Ok (List.rev reports)
-  | _ -> Error "expected a JSON array of reports"

@@ -28,7 +28,6 @@ val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
 val to_json : t -> Json.t
-val of_json : Json.t -> (t, string) result
 
 (** {1 Per-app reports}
 
@@ -52,4 +51,3 @@ val report_to_json : report -> Json.t
 val report_of_json : Json.t -> (report, string) result
 
 val reports_to_json : report list -> Json.t
-val reports_of_json : Json.t -> (report list, string) result

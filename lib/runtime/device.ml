@@ -34,7 +34,6 @@ type t = {
   d_nheap : A.Native_heap.t;
   d_monitor : A.Sink_monitor.t;
   d_irefs : Indirect_ref.t;
-  d_profile : A.Device_profile.t;
   d_libc : A.Libc_model.ctx;
   available_libs : (string, Asm.program) Hashtbl.t;
   loaded_libs : (string, Asm.program) Hashtbl.t;
@@ -76,6 +75,7 @@ type t = {
   mutable summaries_rejected : int;
 }
 
+(* the JNIEnv* constant passed as the first native argument *)
 let jni_env_ptr = Layout.libdvm_base + 0x7F000
 
 let vm d = d.d_vm
@@ -84,12 +84,9 @@ let fs d = d.d_fs
 let net d = d.d_net
 let native_heap d = d.d_nheap
 let monitor d = d.d_monitor
-let irefs d = d.d_irefs
-let profile d = d.d_profile
 let libc_ctx d = d.d_libc
 let jni_return_policy d = d.ret_policy
 let native_taint_source d = d.taint_source
-let obs d = d.d_obs
 
 (* One hub observes the whole device: the Dalvik interpreter and the
    machine share it (the machine records instructions only while its
@@ -243,17 +240,11 @@ let dl_sym d handle sym =
     match Asm.fn_addr prog sym with a -> a | exception Not_found -> 0)
   | None -> 0
 
-let native_symbol d sym =
-  match Hashtbl.find_opt d.symbols sym with
-  | Some addr -> addr
-  | None -> raise Not_found
-
 (* ---------------- JNI call bridge: Java -> native ---------------- *)
 
 let dvm_call_jni_method_addr d = Machine.host_fn_addr d.d_machine "dvmCallJNIMethod"
 
 let set_use_summaries d b = d.use_summaries <- b
-let use_summaries d = d.use_summaries
 let set_summary_taint d f = d.summary_taint <- f
 let summaries_applied d = d.summaries_applied
 let summaries_rejected d = d.summaries_rejected
@@ -1112,7 +1103,6 @@ let create ?(profile = A.Device_profile.default) () =
       d_nheap = nheap;
       d_monitor = monitor;
       d_irefs = Indirect_ref.create ();
-      d_profile = profile;
       d_libc = A.Libc_model.create_ctx fs net nheap;
       available_libs = Hashtbl.create 8;
       loaded_libs = Hashtbl.create 8;
@@ -1182,8 +1172,6 @@ let add_field_taint d ~obj_iref ~fid taint =
   | Some (`Instance (taints, idx)) -> taints.(idx) <- Taint.union taints.(idx) taint
   | None -> ()
 
-let method_of_handle d h = Hashtbl.find_opt d.method_handles h
-
 let object_taint d ~iref =
   match Indirect_ref.resolve d.d_irefs iref with
   | Some id -> (
@@ -1199,11 +1187,6 @@ let add_object_taint d ~iref taint =
     | o -> o.Heap.taint <- Taint.union o.Heap.taint taint
     | exception Not_found -> ())
   | None -> ()
-
-let find_object_by_addr d addr =
-  match Heap.find_by_addr d.d_vm.Vm.heap addr with
-  | Some o -> Some o.Heap.id
-  | None -> None
 
 let object_addr d ~iref =
   match Indirect_ref.resolve d.d_irefs iref with

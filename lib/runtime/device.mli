@@ -67,15 +67,9 @@ val fs : t -> Ndroid_android.Filesystem.t
 val net : t -> Ndroid_android.Network.t
 val native_heap : t -> Ndroid_android.Native_heap.t
 val monitor : t -> Ndroid_android.Sink_monitor.t
-val irefs : t -> Ndroid_jni.Indirect_ref.t
-val profile : t -> Ndroid_android.Device_profile.t
 val libc_ctx : t -> Ndroid_android.Libc_model.ctx
 
 (** {1 Observability} *)
-
-val obs : t -> Ndroid_obs.Ring.t
-(** The device's observability hub; {!Ndroid_obs.Ring.disabled} until
-    {!set_obs}. *)
 
 val set_obs : t -> Ndroid_obs.Ring.t -> unit
 (** Observe the whole device through [ring]: JNI crossings and GC from
@@ -97,10 +91,6 @@ val load_library : t -> string -> unit
 (** Load a provided library now (maps it and registers its symbols).
     @raise Not_found if never provided. *)
 
-val native_symbol : t -> string -> int
-(** Resolved guest address of a native symbol (with the Thumb bit for Thumb
-    libraries). @raise Not_found until the defining library is loaded. *)
-
 (** {1 Running the app} *)
 
 val run : t -> string -> string -> Vm.tval array -> Vm.tval
@@ -113,8 +103,6 @@ val set_use_summaries : t -> bool -> unit
 (** Let the JNI bridge apply cached native taint summaries instead of
     emulating exact function bodies (off by default: the emulated path is
     the reference semantics). *)
-
-val use_summaries : t -> bool
 
 val set_summary_taint : t -> (int -> (int * int) array -> unit) -> unit
 (** Install the taint side of summary application: called with the entry
@@ -139,9 +127,6 @@ val pending_interp_args : t -> (Vm.tval array * Classes.method_def) option
 (** While a native→Java call is being bridged: the frame about to be
     interpreted, visible to the [dvmInterpret] hook (Fig. 9's log). *)
 
-val jni_env_ptr : int
-(** The JNIEnv* constant passed as the first native argument. *)
-
 (** {1 Handle resolution for hook engines} *)
 
 val field_taint : t -> obj_iref:int -> fid:int -> Taint.t
@@ -153,9 +138,6 @@ val field_taint : t -> obj_iref:int -> fid:int -> Taint.t
 val add_field_taint : t -> obj_iref:int -> fid:int -> Taint.t -> unit
 (** Union taint onto the field a [Set*Field] call targets. *)
 
-val method_of_handle : t -> int -> Classes.method_def option
-(** Resolve a jmethodID handle. *)
-
 val object_taint : t -> iref:int -> Taint.t
 (** TaintDroid-format taint of the object behind an indirect reference
     (the array/string/object tag in the heap). *)
@@ -163,10 +145,6 @@ val object_taint : t -> iref:int -> Taint.t
 val add_object_taint : t -> iref:int -> Taint.t -> unit
 (** Union taint onto the object behind an indirect reference.  Keyed by
     indirect reference, so it survives GC moves (paper, Sec. V-B). *)
-
-val find_object_by_addr : t -> int -> int option
-(** Heap id for a real object address ([dvmCreateStringFromCstr]'s return
-    value in Fig. 6), or [None]. *)
 
 val object_addr : t -> iref:int -> int option
 (** Current direct pointer of the object behind an indirect reference —

@@ -86,7 +86,8 @@ let analyze ?classification input =
           else T.clear
         in
         let j t = T.union t ctrl in
-        nat_stack := (lib.Native_flow.nf_name, sym) :: !nat_stack;
+        let lib_name = Native_cfg.name lib.Native_flow.nf_cfg in
+        nat_stack := (lib_name, sym) :: !nat_stack;
         let r =
           Native_flow.analyze_entry env lib ~entry:addr
             ~args:[ T.clear; j this_t; j (nth 0); j (nth 1) ]
@@ -197,14 +198,15 @@ let analyze ?classification input =
     else begin
       let bind sym =
         Option.map
-          (fun ((l : Native_flow.lib), _) -> l.Native_flow.nf_name)
+          (fun ((l : Native_flow.lib), _) ->
+            Native_cfg.name l.Native_flow.nf_cfg)
           (bind_native sym)
       in
       let lib_syms =
         List.map
           (fun (l : Native_flow.lib) ->
-            ( l.Native_flow.nf_name,
-              List.map fst (Native_cfg.symbols l.Native_flow.nf_cfg) ))
+            let cfg = l.Native_flow.nf_cfg in
+            (Native_cfg.name cfg, List.map fst (Native_cfg.symbols cfg)))
           libs
       in
       let xir = Xir_build.build ~cg ~bind ~libs:lib_syms ~facts in
@@ -219,7 +221,7 @@ let analyze ?classification input =
   { v_name = input.in_name;
     v_classification = classification;
     v_result = Ndroid_report.Verdict.normalize (Flagged flow_list);
-    v_loads_library = Callgraph.calls_load cg || Dex_flow.loads_library ctx;
+    v_loads_library = Callgraph.calls_load cg;
     v_jni_sites = Callgraph.jni_site_count cg;
     v_methods = Hashtbl.length (Callgraph.methods cg);
     v_native_insns =
@@ -263,21 +265,11 @@ let analyze_apk (apk : Apk.t) =
     { in_name = apk.Apk.apk_package; in_classes = classes; in_libs = libs;
       in_entries = [] }
 
-let contains_substring hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  if nl = 0 then true
-  else begin
-    let found = ref false in
-    for i = 0 to hl - nl do
-      if (not !found) && String.sub hay i nl = needle then found := true
-    done;
-    !found
-  end
-
 let flows v = Ndroid_report.Verdict.flows v.v_result
 let flagged v = Ndroid_report.Verdict.flagged v.v_result
 
 let flagged_at v needle =
   List.exists
-    (fun (f : Flow.t) -> contains_substring f.Flow.f_sink needle)
+    (fun (f : Flow.t) ->
+      Ndroid_apps.Harness.contains_substring f.Flow.f_sink needle)
     (flows v)

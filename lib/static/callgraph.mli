@@ -1,10 +1,11 @@
-(** Interprocedural call graph over an app's class definitions.
+(** The app's method table and the invoke classification shared by the
+    static passes.
 
-    Nodes are [(class, method)] pairs of bytecode methods; edges come from
-    [Invoke] instructions that resolve to app-defined methods.  The graph
-    also indexes the cross-boundary call sites the supergraph stitches
-    together: JNI (native-method) call sites, [System.load*] sites, and
-    framework source/sink call sites. *)
+    [build] indexes every app-defined method by [(class, name)] and scans
+    each bytecode body's invokes once, for the two facts the verdict
+    reports: whether any method calls [System.load*], and how many call
+    sites enter a [native] method.  {!Dex_flow} follows invokes through
+    the method table itself. *)
 
 type node = string * string
 
@@ -28,24 +29,8 @@ val methods : t -> (node, Ndroid_dalvik.Classes.method_def) Hashtbl.t
 
 val find_method : t -> node -> Ndroid_dalvik.Classes.method_def option
 
-val callees : t -> node -> node list
-(** App-internal edges out of a bytecode method. *)
-
-val reachable : t -> node list -> node list
-(** Transitive closure over app-internal edges from the given roots. *)
-
-val native_sites : t -> (node * string) list
-(** (caller, native symbol) for every call site whose callee is a
-    [Native] method. *)
-
-val load_sites : t -> node list
-(** Methods containing a [System.loadLibrary]/[System.load] call. *)
-
-val source_sites : t -> (node * Ndroid_taint.Taint.t) list
-(** Call sites of catalogued privacy sources, with their taint tag. *)
-
-val sink_sites : t -> (node * string) list
-(** Call sites of catalogued Java-context sinks, with the sink name. *)
-
 val calls_load : t -> bool
+(** Does some method call [System.loadLibrary]/[System.load]? *)
+
 val jni_site_count : t -> int
+(** Call sites whose callee is an app [native] method. *)

@@ -20,6 +20,8 @@ let handler_succs t pc =
   if pc >= 0 && pc < Array.length t.c_handler_succs then t.c_handler_succs.(pc)
   else []
 
+(* registers written by one instruction ([-1] stands for the
+   interpreter's result register filled by [Invoke]) *)
 let defs = function
   | B.Nop | B.Return_void | B.Return _ | B.Goto _ | B.If _ | B.Ifz _
   | B.Throw _ | B.Packed_switch _ | B.Sparse_switch _ | B.Iput _ | B.Sput _

@@ -25,10 +25,6 @@ val blocks : t -> (int * int) list
 (** Basic blocks as [(start, end_exclusive)] pairs, in address order:
     maximal straight runs. *)
 
-val defs : Ndroid_dalvik.Bytecode.t -> int list
-(** Registers written by one instruction ([-1] stands for the
-    interpreter's result register filled by [Invoke]). *)
-
 val uses : Ndroid_dalvik.Bytecode.t -> int list
 (** Registers read by one instruction ([-1] stands for the result
     register read by [Move_result]). *)

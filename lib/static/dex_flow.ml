@@ -9,8 +9,6 @@ type ctx = {
   mutable dx_arrays : T.t;  (* one summary cell for all array contents *)
   mutable dx_ex : T.t;  (* pending-exception taint *)
   mutable dx_changed : bool;
-  mutable dx_loads : bool;
-  mutable dx_native_visits : int;
   dx_record : Flow.t -> unit;
   dx_native_call : Classes.method_def -> T.t list -> ctrl:T.t -> T.t;
   dx_memo : (string * int list, T.t) Hashtbl.t;
@@ -19,15 +17,13 @@ type ctx = {
 
 let make ~cg ~record ~native_call =
   { dx_cg = cg; dx_fields = Hashtbl.create 32; dx_arrays = T.clear;
-    dx_ex = T.clear; dx_changed = false; dx_loads = false;
-    dx_native_visits = 0; dx_record = record; dx_native_call = native_call;
+    dx_ex = T.clear; dx_changed = false; dx_record = record;
+    dx_native_call = native_call;
     dx_memo = Hashtbl.create 64; dx_stack = [] }
 
 let reset_memo ctx = Hashtbl.reset ctx.dx_memo
 let changed ctx = ctx.dx_changed
 let clear_changed ctx = ctx.dx_changed <- false
-let loads_library ctx = ctx.dx_loads
-let native_site_visits ctx = ctx.dx_native_visits
 
 let unions = List.fold_left T.union T.clear
 
@@ -71,9 +67,7 @@ let grow_ex ctx t =
 
 let rec analyze_method ctx (def : Classes.method_def) args =
   match def.Classes.m_body with
-  | Classes.Native _ ->
-    ctx.dx_native_visits <- ctx.dx_native_visits + 1;
-    ctx.dx_native_call def args ~ctrl:T.clear
+  | Classes.Native _ -> ctx.dx_native_call def args ~ctrl:T.clear
   | Classes.Intrinsic _ -> unions args
   | Classes.Bytecode (code, handlers) ->
     let node = (def.Classes.m_class, def.Classes.m_name) in
@@ -192,16 +186,12 @@ and run_bytecode ctx (def : Classes.method_def) code handlers args =
                      f_site = Classes.qualified_name def; f_hops = [] };
                set_result ctrl
              end
-             else if Callgraph.is_load_call cls m then begin
-               ctx.dx_loads <- true;
-               set_result ctrl
-             end
+             else if Callgraph.is_load_call cls m then set_result ctrl
              else
                match Callgraph.find_method ctx.dx_cg (cls, m) with
                | Some callee -> (
                  match callee.Classes.m_body with
                  | Classes.Native _ ->
-                   ctx.dx_native_visits <- ctx.dx_native_visits + 1;
                    set_result
                      (T.union (ctx.dx_native_call callee argts ~ctrl) ctrl)
                  | Classes.Bytecode _ ->

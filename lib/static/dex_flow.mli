@@ -36,10 +36,6 @@ val clear_changed : ctx -> unit
 (** Did any monotone summary (field/array/exception) grow since the last
     {!clear_changed}? *)
 
-val loads_library : ctx -> bool
-val native_site_visits : ctx -> int
-(** How many times analysis crossed a Java→native call site. *)
-
 val short_sink_name : string -> string -> string
 (** ["Ljava/net/Socket;" "send" → "Socket.send"] — the dynamic sink
     monitors' naming, so static and dynamic verdicts align. *)

@@ -35,9 +35,6 @@ let of_program ~name prog =
     n_symbols = Asm.symbols prog; n_sym_at = sym_at }
 
 let name t = t.n_name
-let mode t = t.n_mode
-let base t = t.n_base
-let size t = t.n_size
 let insn_count t = Hashtbl.length t.n_insns
 let insn_at t addr = Hashtbl.find_opt t.n_insns (clear_thumb_bit addr)
 
@@ -49,8 +46,6 @@ let symbols t = t.n_symbols
 
 let symbol_addr t name =
   List.find_map (fun (n, a) -> if n = name then Some a else None) t.n_symbols
-
-let symbol_at t addr = Hashtbl.find_opt t.n_sym_at (clear_thumb_bit addr)
 
 let enclosing_symbol t addr =
   let a = clear_thumb_bit addr in

@@ -13,9 +13,8 @@ type t
 val of_program : name:string -> Ndroid_arm.Asm.program -> t
 
 val name : t -> string
-val mode : t -> Ndroid_arm.Cpu.mode
-val base : t -> int
-val size : t -> int
+(** The library's name, as given to {!of_program}. *)
+
 val insn_count : t -> int
 
 val insn_at : t -> int -> (Ndroid_arm.Insn.t * int) option
@@ -27,8 +26,6 @@ val contains : t -> int -> bool
 
 val symbols : t -> (string * int) list
 val symbol_addr : t -> string -> int option
-val symbol_at : t -> int -> string option
-(** Exact symbol at an address (thumb bit ignored). *)
 
 val enclosing_symbol : t -> int -> string option
 (** Nearest symbol at or before the address — the "current function" for

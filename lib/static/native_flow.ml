@@ -4,15 +4,13 @@ module Insn = Ndroid_arm.Insn
 module J = Ndroid_jni.Jni_names
 
 type lib = {
-  nf_name : string;
   nf_cfg : Native_cfg.t;
   mutable nf_mem : T.t;
-  mutable nf_changed : bool;
 }
 
 let make_lib ~name prog =
-  { nf_name = name; nf_cfg = Native_cfg.of_program ~name prog;
-    nf_mem = T.clear; nf_changed = false }
+  { nf_cfg = Native_cfg.of_program ~name prog;
+    nf_mem = T.clear }
 
 type env = {
   e_upcall : string -> string -> T.t list -> T.t;
@@ -24,8 +22,8 @@ type env = {
 type absval = Unknown | Const of int | Cls of string | Mid of string * string
 
 type state = {
-  mutable st_regs : T.t array;  (* 16 core registers *)
-  mutable st_consts : absval array;
+  st_regs : T.t array;  (* 16 core registers *)
+  st_consts : absval array;
   mutable st_vfp : T.t;  (* one summary cell for the VFP bank *)
   mutable st_ctrl : T.t;  (* control (implicit-flow) taint *)
 }
@@ -71,10 +69,8 @@ let join a b =
 let unions = List.fold_left T.union T.clear
 
 let set_mem actx t =
-  if not (T.subset t actx.a_lib.nf_mem) then begin
-    actx.a_lib.nf_mem <- T.union actx.a_lib.nf_mem t;
-    actx.a_lib.nf_changed <- true
-  end
+  if not (T.subset t actx.a_lib.nf_mem) then
+    actx.a_lib.nf_mem <- T.union actx.a_lib.nf_mem t
 
 let op2_taint st = function
   | Insn.Imm _ -> T.clear

@@ -26,12 +26,9 @@
 module Taint = Ndroid_taint.Taint
 
 type lib = {
-  nf_name : string;
   nf_cfg : Native_cfg.t;
   mutable nf_mem : Taint.t;
       (** abstract library memory, monotone across calls *)
-  mutable nf_changed : bool;
-      (** did [nf_mem] grow during the last entry analysis *)
 }
 
 val make_lib : name:string -> Ndroid_arm.Asm.program -> lib

@@ -5,15 +5,6 @@
     path and the batch pipeline use, so `ndroid analyze --json` output is
     deterministic and schema-identical across analyses. *)
 
-val pp_verdict : Format.formatter -> Analyzer.verdict -> unit
-
 val to_report : Analyzer.verdict -> Ndroid_report.Verdict.report
 (** The unified per-app report (analysis = ["static"]), carrying the
     analyzer's counters as deterministic metadata. *)
-
-val verdict_json : Analyzer.verdict -> string
-(** One verdict as a canonical JSON object. *)
-
-val verdicts_json : Analyzer.verdict list -> string
-(** A canonical JSON array of verdicts, the [ndroid analyze --json]
-    payload. *)

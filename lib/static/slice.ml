@@ -155,6 +155,8 @@ let path_to_sink t sink_id =
 let sink_id t (f : Flow.t) =
   Xir.node_id t.sl_xir (Xir.Sink (f.Flow.f_sink, f.Flow.f_site))
 
+(* shortest source->sink hop chain for the flow's sink node, if the graph
+   contains one *)
 let hops_for t (f : Flow.t) =
   match sink_id t f with
   | None -> None

@@ -10,9 +10,6 @@ type t
 
 val compute : Xir.t -> t
 
-val in_slice : t -> int -> bool
-(** Is the node on some source→sink path? *)
-
 val focus : t -> Ndroid_report.Focus.t
 (** The slice's projection: methods, natives and crossings on a feasible
     source→sink path. *)
@@ -21,10 +18,6 @@ val full : Xir.t -> Ndroid_report.Focus.t
 (** Every method/native/crossing in the graph — the sound fallback when a
     flagged flow has no graph path (e.g. a purely control-dependent
     flow). *)
-
-val hops_for : t -> Ndroid_report.Flow.t -> Ndroid_report.Flow.hop list option
-(** Shortest source→sink hop chain for the flow's sink node, if the graph
-    contains one. *)
 
 val annotate :
   t -> Ndroid_report.Flow.t list -> Ndroid_report.Flow.t list * bool

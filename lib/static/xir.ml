@@ -57,6 +57,7 @@ let grow g n =
     g.rev <- r
   end
 
+(* id of the node, interning it on first sight *)
 let add_node g node =
   match Hashtbl.find_opt g.ids node with
   | Some id -> id
@@ -84,46 +85,9 @@ let preds g id = if id < Array.length g.rev then g.rev.(id) else []
 let node_count g = g.next_id
 let edge_count g = g.n_edges
 
-let iter_nodes g f = Hashtbl.iter (fun id node -> f id node) g.nodes
-
 let fold_nodes g f acc =
   Hashtbl.fold (fun id node acc -> f id node acc) g.nodes acc
 
 (* ids of every node satisfying [p] *)
 let select g p =
   fold_nodes g (fun id node acc -> if p node then id :: acc else acc) []
-
-let edge_name = function
-  | Defuse -> "defuse"
-  | Call -> "call"
-  | Ret -> "ret"
-  | Jni_down _ -> "jni_down"
-  | Jni_up -> "jni_up"
-  | Src -> "source"
-  | Snk -> "sink"
-  | Heap -> "heap"
-  | Load -> "load"
-
-let pp_node ppf = function
-  | Method (c, m) -> Fmt.pf ppf "method %s->%s" c m
-  | Def (c, m, pc) ->
-    if pc < 0 then Fmt.pf ppf "params %s->%s" c m
-    else Fmt.pf ppf "def %s->%s@%d" c m pc
-  | Native (lib, sym) -> Fmt.pf ppf "native %s (%s)" sym lib
-  | Crossing label -> Fmt.pf ppf "crossing %s" label
-  | Source (site, name) -> Fmt.pf ppf "source %s@%s" name site
-  | Sink (name, site) -> Fmt.pf ppf "sink %s@%s" name site
-  | Field (c, f) -> Fmt.pf ppf "field %s.%s" c f
-  | Arrays -> Fmt.pf ppf "arrays"
-  | Exn -> Fmt.pf ppf "exception"
-
-let pp ppf g =
-  Fmt.pf ppf "xir: %d nodes, %d edges@." (node_count g) (edge_count g);
-  iter_nodes g (fun id node ->
-      List.iter
-        (fun (d, e) ->
-          match node_of g d with
-          | Some dn ->
-            Fmt.pf ppf "  %a -[%s]-> %a@." pp_node node (edge_name e) pp_node dn
-          | None -> ())
-        (succs g id))

@@ -35,9 +35,6 @@ type t
 
 val create : unit -> t
 
-val add_node : t -> node -> int
-(** Id of the node, interning it on first sight. *)
-
 val add_edge : t -> node -> edge -> node -> unit
 (** Add (and dedup) one labelled edge; interns both endpoints. *)
 
@@ -47,12 +44,7 @@ val succs : t -> int -> (int * edge) list
 val preds : t -> int -> (int * edge) list
 val node_count : t -> int
 val edge_count : t -> int
-val iter_nodes : t -> (int -> node -> unit) -> unit
 val fold_nodes : t -> (int -> node -> 'a -> 'a) -> 'a -> 'a
 
 val select : t -> (node -> bool) -> int list
 (** Ids of every node satisfying the predicate. *)
-
-val edge_name : edge -> string
-val pp_node : Format.formatter -> node -> unit
-val pp : Format.formatter -> t -> unit

@@ -29,9 +29,6 @@ val record_native_sink :
     enclosing symbol (the flow's site), [entry] the exported function the
     crossing entered through. *)
 
-val aapcs_label : Ndroid_dalvik.Classes.method_def -> string
-(** The Java→native argument mapping for a crossing's [Jni_down] label. *)
-
 val build :
   cg:Callgraph.t ->
   bind:(string -> string option) ->

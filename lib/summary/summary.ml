@@ -1,6 +1,5 @@
 module Insn = Ndroid_arm.Insn
 module Cpu = Ndroid_arm.Cpu
-module Memory = Ndroid_arm.Memory
 module Exec = Ndroid_arm.Exec
 module Asm = Ndroid_arm.Asm
 module Taint = Ndroid_taint.Taint
@@ -41,7 +40,6 @@ type fn = {
 
 type lib = {
   l_digest : string;
-  l_mode : Cpu.mode;
   l_base : int;
   l_limit : int;
   l_fns : (int, fn) Hashtbl.t;  (* keyed by entry address *)
@@ -159,7 +157,6 @@ let derive mem prog =
         Hashtbl.replace fns addr (summarize cpu mem ~name addr))
     (Asm.symbols prog);
   { l_digest = digest_of prog;
-    l_mode = Asm.mode prog;
     l_base = Asm.base prog;
     l_limit = Asm.base prog + Asm.size prog - 1;
     l_fns = fns;
@@ -281,7 +278,6 @@ let of_json mem prog j =
     else
       Some
         { l_digest = digest;
-          l_mode = Asm.mode prog;
           l_base = Asm.base prog;
           l_limit = Asm.base prog + Asm.size prog - 1;
           l_fns = tbl;

@@ -1,7 +1,6 @@
 type t = Taint.t array
 
 let create n = Array.make n Taint.clear
-let size s = Array.length s
 
 let oob i : 'a =
   invalid_arg (Printf.sprintf "Shadow_regs: register %d out of range" i)

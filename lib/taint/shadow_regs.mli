@@ -10,8 +10,6 @@ type t
 val create : int -> t
 (** [create n] makes a bank of [n] shadow registers, all clear. *)
 
-val size : t -> int
-
 val get : t -> int -> Taint.t
 (** [get s i] is the taint of register [i].  @raise Invalid_argument if [i]
     is out of range. *)

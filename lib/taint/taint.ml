@@ -5,10 +5,8 @@ let is_clear t = t = 0
 let is_tainted t = t <> 0
 let union a b = a lor b
 let ( ||| ) = union
-let inter a b = a land b
 let subset a b = a land b = a
 let equal (a : t) b = a = b
-let compare (a : t) b = Stdlib.compare a b
 let of_bits n = n land 0xFFFFFFFF
 let to_bits t = t
 

@@ -30,14 +30,10 @@ val union : t -> t -> t
 val ( ||| ) : t -> t -> t
 (** Infix alias for {!union}. *)
 
-val inter : t -> t -> t
-(** Set intersection; used by sink filters that watch specific categories. *)
-
 val subset : t -> t -> bool
 (** [subset a b] is [true] iff every category in [a] is also in [b]. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val of_bits : int -> t
 (** [of_bits n] makes a tag from a raw 32-bit value, e.g. from a log. *)
@@ -57,23 +53,13 @@ val to_bits : t -> int
 val location : t
 
 val contacts : t
-val mic : t
 val phone_number : t
 val location_gps : t
-val location_net : t
-val location_last : t
-val camera : t
-val accelerometer : t
 val sms : t
 val imei : t
 val imsi : t
 val iccid : t
 val device_sn : t
-val account : t
-val history : t
-
-val all_labels : (string * t) list
-(** Every predefined category with its name, in ascending bit order. *)
 
 val categories : t -> string list
 (** [categories t] names the categories present in [t]; unknown bits are

@@ -224,17 +224,6 @@ let copy_range m ~src ~dst ~len =
 
 let tainted_bytes m = m.total
 
-let iter m f =
-  Hashtbl.iter
-    (fun key p ->
-      if p.live > 0 then
-        let base = key lsl page_bits in
-        for off = 0 to page_size - 1 do
-          let tag = p.data.(off) in
-          if Taint.is_tainted tag then f (base + off) tag
-        done)
-    m.pages
-
 let reset m =
   Hashtbl.reset m.pages;
   m.total <- 0;

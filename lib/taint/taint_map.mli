@@ -47,8 +47,5 @@ val copy_range : t -> src:int -> dst:int -> len:int -> unit
 val tainted_bytes : t -> int
 (** Number of bytes currently carrying a non-clear taint. *)
 
-val iter : t -> (int -> Taint.t -> unit) -> unit
-(** Iterate over every tainted byte, in no particular order. *)
-
 val reset : t -> unit
 (** Remove every entry. *)

@@ -2,19 +2,12 @@ module Device = Ndroid_runtime.Device
 module Vm = Ndroid_dalvik.Vm
 module Taint = Ndroid_taint.Taint
 
-type t = { device : Device.t }
-
 let return_policy (jc : Device.jni_call) ~r0:_ ~r1:_ =
   Array.fold_left (fun acc (_, t) -> Taint.union acc t) Taint.clear jc.Device.jc_args
 
 let attach device =
   (Device.vm device).Vm.track_taint <- true;
-  Device.jni_return_policy device := return_policy;
-  { device }
-
-let detach t =
-  (Device.vm t.device).Vm.track_taint <- true;
-  Device.jni_return_policy t.device := (fun _ ~r0:_ ~r1:_ -> Taint.clear)
+  Device.jni_return_policy device := return_policy
 
 let vanilla device =
   (Device.vm device).Vm.track_taint <- false;

@@ -13,13 +13,8 @@
     - it has no native-context sinks (case 2) and no native-context sources
       (cases 3, 4). *)
 
-type t
-
-val attach : Ndroid_runtime.Device.t -> t
+val attach : Ndroid_runtime.Device.t -> unit
 (** Enable DVM taint tracking and install the JNI return policy. *)
-
-val detach : t -> unit
-(** Restore the vanilla configuration. *)
 
 val return_policy :
   Ndroid_runtime.Device.jni_call -> r0:int -> r1:int -> Ndroid_taint.Taint.t

@@ -7,7 +7,8 @@ module Layout = Ndroid_emulator.Layout
 module Dexdump = Ndroid_dalvik.Dexdump
 module Taint = Ndroid_taint.Taint
 module Taint_engine = Ndroid_emulator.Taint_engine
-module Flow_log = Ndroid_core.Flow_log
+module Ring = Ndroid_obs.Ring
+module Event = Ndroid_obs.Event
 
 let has_substring hay needle =
   let nl = String.length needle and hl = String.length hay in
@@ -67,15 +68,25 @@ let test_taint_engine_reset () =
   Alcotest.(check int) "map clean" 0 (Taint_engine.tainted_bytes e);
   Alcotest.(check bool) "sregs clean" true (Taint.is_clear (Taint_engine.sreg e 5))
 
+(* rendered flow-log lines of a ring that contain [needle] *)
+let matching ring needle =
+  Ring.fold
+    (fun acc r ->
+      match Event.render r with
+      | Some line when has_substring line needle -> line :: acc
+      | _ -> acc)
+    [] ring
+
 let test_flow_log_matching () =
-  let log = Flow_log.create () in
-  Flow_log.recordf log "SourceHandler @0x%x" 0x4A000000;
-  Flow_log.recordf log "t(r2) := %a" Taint.pp Taint.contacts;
-  Flow_log.record log "unrelated";
-  Alcotest.(check int) "count" 3 (Flow_log.count log);
-  Alcotest.(check int) "matching" 1 (List.length (Flow_log.matching log "SourceHandler"));
-  Flow_log.clear log;
-  Alcotest.(check int) "cleared" 0 (Flow_log.count log)
+  let log = Ring.create () in
+  Ring.logf log "SourceHandler @0x%x" 0x4A000000;
+  Ring.logf log "t(r2) := %a" Taint.pp Taint.contacts;
+  Ring.emit_log log "unrelated";
+  Alcotest.(check int) "count" 3 (Ring.lines log);
+  Alcotest.(check int) "matching" 1
+    (List.length (matching log "SourceHandler"));
+  Ring.clear log;
+  Alcotest.(check int) "cleared" 0 (Ring.lines log)
 
 let test_report_helpers_empty_inputs () =
   (* a report over a fresh analysis renders without leaks or logs *)

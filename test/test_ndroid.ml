@@ -8,7 +8,6 @@ module Taint_engine = Ndroid_emulator.Taint_engine
 module Insn_taint = Ndroid_emulator.Insn_taint
 module Source_policy = Ndroid_core.Source_policy
 module Ndroid = Ndroid_core.Ndroid
-module Flow_log = Ndroid_core.Flow_log
 module Device = Ndroid_runtime.Device
 module H = Ndroid_apps.Harness
 module Cases = Ndroid_apps.Cases

@@ -127,19 +127,28 @@ let test_jsonl_lines () =
         Alcotest.(check bool) "line has kind" true (Json.member "kind" j <> None))
     lines
 
-(* ---- flow-log shim ---- *)
+(* ---- flow log over the ring ---- *)
+
+(* rendered flow-log lines of a ring that contain [needle] *)
+let matching ring needle =
+  Ring.fold
+    (fun acc r ->
+      match Event.render r with
+      | Some line when H.contains_substring line needle -> line :: acc
+      | _ -> acc)
+    [] ring
 
 let test_flow_log_shim () =
-  let log = Ndroid_core.Flow_log.create () in
-  Ndroid_core.Flow_log.recordf log "JNI %s Begin" "Lcom/a;->f";
-  Ring.emit_taint_reg (Ndroid_core.Flow_log.ring log) ~reg:2 ~taint:0x400;
-  Ring.emit_invoke (Ndroid_core.Flow_log.ring log) "La;->m";
+  let log = Ring.create () in
+  Ring.logf log "JNI %s Begin" "Lcom/a;->f";
+  Ring.emit_taint_reg log ~reg:2 ~taint:0x400;
+  Ring.emit_invoke log "La;->m";
   (* typed events render into the legacy vocabulary; spans don't render *)
-  Alcotest.(check int) "renderable count" 2 (Ndroid_core.Flow_log.count log);
+  Alcotest.(check int) "renderable count" 2 (Ring.lines log);
   Alcotest.(check bool) "legacy line" true
-    (Ndroid_core.Flow_log.matching log "JNI Lcom/a;->f Begin" <> []);
+    (matching log "JNI Lcom/a;->f Begin" <> []);
   Alcotest.(check bool) "taint assign line" true
-    (Ndroid_core.Flow_log.matching log "t(r2) :=" <> [])
+    (matching log "t(r2) :=" <> [])
 
 (* ---- metrics ---- *)
 

@@ -203,23 +203,37 @@ let prop_cache_entry_hostile =
       (Printf.sprintf "ndroid-test-hostile-%d" (Unix.getpid ()))
   in
   let file = Filename.concat dir "entry.json" in
+  let raw_file = Filename.concat dir "raw.json" in
   let json r = Json.to_string (Verdict.report_to_json r) in
-  (* a hit must be the stored report itself, never some other report *)
+  (* a raw side entry's blob, shaped like a native summary *)
+  let blob = {|{"digest":"0123456789abcdef","fns":[{"entry":1241513984}]}|} in
+  let corrupt m file =
+    let entry = In_channel.with_open_bin file In_channel.input_all in
+    Out_channel.with_open_bin file (fun oc -> output_string oc (mutate entry m))
+  in
+  (* a hit must be the stored report itself, never some other report; a
+     raw entry likewise reads back as the stored blob or not at all *)
   QCheck.Test.make ~name:"mutated cache entries read as a report or a miss"
     ~count:300 mutation
     (fun m ->
       let cache = Cache.create ~dir in
       Fun.protect
         ~finally:(fun () ->
-          (try Sys.remove file with Sys_error _ -> ());
+          List.iter
+            (fun f -> try Sys.remove f with Sys_error _ -> ())
+            [ file; raw_file ];
           try Unix.rmdir dir with Unix.Unix_error _ -> ())
         (fun () ->
           Cache.store cache ~key:"entry" flagged_report;
-          let entry = In_channel.with_open_bin file In_channel.input_all in
-          Out_channel.with_open_bin file (fun oc ->
-              output_string oc (mutate entry m));
-          match Cache.find cache ~key:"entry" with
-          | Some r -> json r = json flagged_report
+          Cache.store_raw cache ~key:"raw" blob;
+          corrupt m file;
+          corrupt m raw_file;
+          (match Cache.find cache ~key:"entry" with
+           | Some r -> json r = json flagged_report
+           | None -> true)
+          &&
+          match Cache.find_raw cache ~key:"raw" with
+          | Some b -> b = blob
           | None -> true))
 
 let prop_summary_json_hostile =
