@@ -322,7 +322,6 @@ let cmd_analyze names mode json jobs timeout cache_dir market engine
             [ ("wall_seconds", Json.Float s.Pool.s_wall);
               ("engine", Json.Str s.Pool.s_engine);
               ("cache_pass_seconds", Json.Float s.Pool.s_cache_pass);
-              ("digest_seconds", Json.Float s.Pool.s_digest);
               ("fork_seconds", Json.Float s.Pool.s_fork);
               ("wire_seconds", Json.Float s.Pool.s_wire);
               ("collect_seconds", Json.Float s.Pool.s_collect);
@@ -805,7 +804,7 @@ let trace_cmd =
     Arg.(value & opt (some string) None
          & info [ "cat" ] ~docv:"CAT"
              ~doc:"Only events in this category (e.g. dalvik, jni, taint, \
-                   sink, gc, log, pipeline).")
+                   sink, gc, log).")
   in
   let limit_arg =
     Arg.(value & opt (some int) (Some 40)

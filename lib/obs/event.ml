@@ -18,8 +18,6 @@ type kind =
   | K_sink_end
   | K_gc_begin
   | K_gc_end
-  | K_phase_begin
-  | K_phase_end
   | K_insn
   | K_host_enter
   | K_host_leave
@@ -59,8 +57,6 @@ let kind_name = function
   | K_sink_end -> "sink_end"
   | K_gc_begin -> "gc_begin"
   | K_gc_end -> "gc_end"
-  | K_phase_begin -> "phase_begin"
-  | K_phase_end -> "phase_end"
   | K_insn -> "insn"
   | K_host_enter -> "host_enter"
   | K_host_leave -> "host_leave"
@@ -70,8 +66,8 @@ let kind_name = function
 let all_kinds =
   [ K_log; K_invoke; K_return; K_jni_begin; K_jni_end; K_jni_ret; K_source;
     K_policy_apply; K_arg_taint; K_taint_reg; K_taint_mem; K_sink_begin;
-    K_sink; K_sink_end; K_gc_begin; K_gc_end; K_phase_begin; K_phase_end;
-    K_insn; K_host_enter; K_host_leave; K_sb_compile; K_summary_apply ]
+    K_sink; K_sink_end; K_gc_begin; K_gc_end; K_insn; K_host_enter;
+    K_host_leave; K_sb_compile; K_summary_apply ]
 
 let kind_of_name =
   let tbl = Hashtbl.create 31 in
@@ -81,11 +77,8 @@ let kind_of_name =
 type span = B | E | I
 
 let span_of_kind = function
-  | K_invoke | K_jni_begin | K_sink_begin | K_gc_begin | K_phase_begin
-  | K_host_enter ->
-    B
-  | K_return | K_jni_end | K_sink_end | K_gc_end | K_phase_end | K_host_leave ->
-    E
+  | K_invoke | K_jni_begin | K_sink_begin | K_gc_begin | K_host_enter -> B
+  | K_return | K_jni_end | K_sink_end | K_gc_end | K_host_leave -> E
   | K_log | K_jni_ret | K_source | K_policy_apply | K_arg_taint | K_taint_reg
   | K_taint_mem | K_sink | K_insn | K_sb_compile | K_summary_apply ->
     I
@@ -100,7 +93,6 @@ let tid_of_kind = function
     2
   | K_gc_begin | K_gc_end -> 3
   | K_log -> 4
-  | K_phase_begin | K_phase_end -> 5
 
 let category = function
   | K_log -> "log"
@@ -110,15 +102,14 @@ let category = function
   | K_taint_reg | K_taint_mem -> "taint"
   | K_sink_begin | K_sink | K_sink_end -> "sink"
   | K_gc_begin | K_gc_end -> "gc"
-  | K_phase_begin | K_phase_end -> "pipeline"
   | K_insn | K_host_enter | K_host_leave | K_sb_compile | K_summary_apply ->
     "native"
 
 (* The string each typed event used to be logged as, before the engines
    moved off [Flow_log]'s string list: the paper's Fig. 6-9 vocabulary,
    rendered in exactly one place.  Events with no legacy spelling (machine
-   trace entries, method spans, pipeline phases) render to [None] and are
-   invisible to the flow log. *)
+   trace entries, method spans) render to [None] and are invisible to the
+   flow log. *)
 let render_fields ~kind ~name ~detail ~addr ~taint =
   match kind with
   | K_log -> Some name
@@ -145,8 +136,7 @@ let render_fields ~kind ~name ~detail ~addr ~taint =
          (Taint.of_bits taint) detail)
   | K_sink_end -> Some (Printf.sprintf "SinkHandler[%s] end" name)
   | K_invoke | K_return | K_jni_begin | K_jni_end | K_gc_begin | K_gc_end
-  | K_phase_begin | K_phase_end | K_insn | K_host_enter | K_host_leave
-  | K_sb_compile | K_summary_apply ->
+  | K_insn | K_host_enter | K_host_leave | K_sb_compile | K_summary_apply ->
     None
 
 let render r =

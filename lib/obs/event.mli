@@ -2,10 +2,10 @@
 
     One vocabulary for everything NDroid can narrate about a run: Dalvik
     method spans, JNI crossings, SourcePolicy firings, taint assignments,
-    sink reports, GC, pipeline phases, raw machine-trace entries, and
-    free-form log lines.  Events are preallocated mutable records with int
-    fields — the ring rewrites them in place, so the hot path allocates
-    nothing (strings stored in events are shared, never copied). *)
+    sink reports, GC, raw machine-trace entries, and free-form log
+    lines.  Events are preallocated mutable records with int fields — the
+    ring rewrites them in place, so the hot path allocates nothing
+    (strings stored in events are shared, never copied). *)
 
 type kind =
   | K_log  (** free-form flow-log line (in [e_name]) *)
@@ -24,8 +24,6 @@ type kind =
   | K_sink_end
   | K_gc_begin
   | K_gc_end
-  | K_phase_begin  (** pipeline/worker phase ([e_name] = phase) *)
-  | K_phase_end
   | K_insn  (** executed native instruction ([e_addr], [e_insn]) *)
   | K_host_enter  (** host-function boundary ([e_name]) *)
   | K_host_leave

@@ -254,13 +254,24 @@ let digest (task : Task.t) =
 
 (* ---- the request-oriented facade ---- *)
 
-(* One service value owns the whole answer-one-request path: digest the
-   task (memoized — descriptor construction is the expensive part of a
-   warm probe), probe the in-memory warm layer then the on-disk cache,
-   run the analyzer on a miss, and store the answer back.  The daemon,
-   the batch pool's cache pass and [Pool.run_inline] are all built on
-   it, so "what counts as a hit" and "what may be cached" have exactly
-   one definition. *)
+(* One service value owns the whole answer-one-request path: probe the
+   in-memory warm layer, then the on-disk cache, run the analyzer on a
+   miss, and store the answer back.  The daemon, the batch pool's cache
+   pass and [Pool.run_inline] are all built on it, so "what counts as a
+   hit" and "what may be cached or coalesced" have exactly one
+   definition.  In memory an answer is named by its request (mode and
+   subject); only the disk cache, which outlives the process, names it
+   by content digest. *)
+
+type key = Task.mode * Task.subject
+
+(* a fault marker means "really run this" (the worker acts on it):
+   answering it from memory, storing it or coalescing it would silently
+   skip the injection *)
+let key (task : Task.t) =
+  match task.Task.t_fault with
+  | None -> Some (task.Task.t_mode, task.Task.t_subject)
+  | Some _ -> None
 
 (* A bounded memo table with second-chance (clock) eviction: entries keep
    a reference bit set on every hit; when the table is full the oldest
@@ -268,10 +279,10 @@ let digest (task : Task.t) =
    more lap around the ring, cold ones are evicted.  A long-lived daemon
    therefore holds its hottest [capacity] answers instead of growing
    without bound. *)
-type 'v memo = {
+type ('k, 'v) memo = {
   mm_capacity : int;
-  mm_tbl : (string, 'v memo_slot) Hashtbl.t;
-  mm_ring : string Queue.t;  (* insertion-ordered clock hand *)
+  mm_tbl : ('k, 'v memo_slot) Hashtbl.t;
+  mm_ring : 'k Queue.t;  (* insertion-ordered clock hand *)
   mutable mm_evictions : int;
 }
 
@@ -315,7 +326,7 @@ let memo_add m key value =
   end
 
 (* Every service below is shared by all domains of the in-process engine:
-   one mutex guards the two memo tables and the counters.  Analyzer runs,
+   one mutex guards the memo table and the counter.  Analyzer runs,
    digest computation and disk I/O happen outside the lock — the critical
    sections are table probes only, so domains contend for nanoseconds,
    not for analysis time. *)
@@ -323,8 +334,7 @@ let memo_add m key value =
 type service = {
   sv_cache : Cache.t option;
   sv_lock : Mutex.t;
-  sv_digest_memo : string memo;  (* subject+mode -> digest *)
-  sv_memo : Verdict.report memo;  (* digest -> warm report *)
+  sv_memo : (key, Verdict.report) memo;  (* the warm layer *)
   mutable sv_requests : int;
 }
 
@@ -334,7 +344,6 @@ let service ?cache ?(capacity = default_capacity) () =
   (match cache with Some c -> enable_summary_cache c | None -> ());
   { sv_cache = cache;
     sv_lock = Mutex.create ();
-    sv_digest_memo = memo_create capacity;
     sv_memo = memo_create capacity;
     sv_requests = 0 }
 
@@ -349,65 +358,40 @@ let locked sv f =
     raise exn
 
 let service_requests sv = locked sv (fun () -> sv.sv_requests)
-
-let service_evictions sv =
-  locked sv (fun () ->
-      sv.sv_digest_memo.mm_evictions + sv.sv_memo.mm_evictions)
+let service_evictions sv = locked sv (fun () -> sv.sv_memo.mm_evictions)
 
 let service_warm_entries sv =
   locked sv (fun () -> Hashtbl.length sv.sv_memo.mm_tbl)
 
-(* the answer's identity: subject and mode, never the request-local id or
-   an injected fault *)
-let memo_key (task : Task.t) =
-  Task.mode_name task.Task.t_mode
-  ^ "|"
-  ^ Json.to_string (Task.subject_to_json task.Task.t_subject)
-
-let service_digest sv task =
-  let k = memo_key task in
-  match locked sv (fun () -> memo_find sv.sv_digest_memo k) with
-  | Some d -> d
-  | None ->
-    (* compute outside the lock: descriptor construction is the expensive
-       part, and two domains racing to the same digest write equal values *)
-    let d = digest task in
-    locked sv (fun () -> memo_add sv.sv_digest_memo k d);
-    d
-
-let service_find sv (task : Task.t) =
-  (* a fault marker means "really run this" (the worker acts on it);
-     serving it from cache would silently skip the injection *)
-  if task.Task.t_fault <> None then None
-  else begin
-    let d = service_digest sv task in
-    match locked sv (fun () -> memo_find sv.sv_memo d) with
-    | Some report -> Some (report, d)
+let service_find sv task =
+  match key task with
+  | None -> None
+  | Some k -> (
+    match locked sv (fun () -> memo_find sv.sv_memo k) with
+    | Some _ as hit -> hit
     | None -> (
-      (* disk probe outside the lock; a racing domain reads the same file *)
-      match Option.bind sv.sv_cache (fun c -> Cache.find c ~key:d) with
-      | Some report ->
-        locked sv (fun () -> memo_add sv.sv_memo d report);
-        Some (report, d)
-      | None -> None)
-  end
+      (* the digest and the disk probe run outside the lock; a racing
+         domain reads the same file *)
+      let on_disk c = Cache.find c ~key:(digest task) in
+      match Option.bind sv.sv_cache on_disk with
+      | Some report as hit ->
+        locked sv (fun () -> memo_add sv.sv_memo k report);
+        hit
+      | None -> None))
 
-let service_store sv ~digest report =
-  match report.Verdict.r_verdict with
+let service_store sv task report =
+  match (key task, report.Verdict.r_verdict) with
   (* crash/timeout verdicts are circumstances, not app facts *)
-  | Verdict.Crashed _ | Verdict.Timeout -> ()
-  | _ ->
-    locked sv (fun () -> memo_add sv.sv_memo digest report);
-    (match sv.sv_cache with
-     | Some c -> Cache.store c ~key:digest report
-     | None -> ())
+  | None, _ | _, (Verdict.Crashed _ | Verdict.Timeout) -> ()
+  | Some k, _ ->
+    locked sv (fun () -> memo_add sv.sv_memo k report);
+    Option.iter (fun c -> Cache.store c ~key:(digest task) report) sv.sv_cache
 
-let service_run sv ?obs (task : Task.t) =
+let service_run sv ?obs task =
   locked sv (fun () -> sv.sv_requests <- sv.sv_requests + 1);
   match service_find sv task with
-  | Some (report, _) -> (report, true)
+  | Some report -> (report, true)
   | None ->
     let report = run ?obs task in
-    if task.Task.t_fault = None then
-      service_store sv ~digest:(service_digest sv task) report;
+    service_store sv task report;
     (report, false)

@@ -181,11 +181,8 @@ let on_frame t sl payload =
   in
   add_wire t t0;
   Option.map
-    (fun (c, (task : Task.t)) ->
-      if task.Task.t_fault = None then
-        Analysis.service_store t.service
-          ~digest:(Analysis.service_digest t.service task)
-          c.Worker.report;
+    (fun (c, task) ->
+      Analysis.service_store t.service task c.Worker.report;
       c)
     c
 
@@ -293,8 +290,7 @@ let submit t ~ticket ?deadline ?trace task =
       { j_ticket = ticket; j_task = task; j_deadline = deadline;
         j_trace = trace }
     in
-    if not (Shard_queue.push f.f_queue ~shard job) then
-      invalid_arg "Executor.submit: the task queue is at capacity";
+    ignore (Shard_queue.push f.f_queue ~shard job);
     pump t f
 
 let idle t = max 0 (t.jobs - t.outstanding)

@@ -24,12 +24,12 @@
     runs queued tasks on the calling domain, so the executor never holds
     more domains than cores.
 
-    Either way the executor stores every computed, fault-free report in
-    the {!Analysis.service} (a domain worker through
-    {!Analysis.service_run}, the forked engine as each result frame
-    arrives), so no caller stores.  A [Crashed] or [Timeout] completion
-    carries the seconds since dispatch, also charged to the
-    [task_seconds] histogram. *)
+    Either way the executor hands every computed report to the
+    {!Analysis.service} (a domain worker through {!Analysis.service_run},
+    the forked engine through {!Analysis.service_store} as each result
+    frame arrives), which decides what to keep, so no caller stores.  A
+    [Crashed] or [Timeout] completion carries the seconds since dispatch,
+    also charged to the [task_seconds] histogram. *)
 
 type t
 
@@ -56,10 +56,12 @@ val isolated : t -> bool
 
 val submit :
   t -> ticket:int -> ?deadline:float -> ?trace:int -> Task.t -> unit
-(** Queue one task; returns at once.  [deadline] is a wall-clock budget
-    in seconds from dispatch (forked engine only); [trace] a throttle
-    window in event-seq units, which makes the worker tap its ring and
-    return the task's events on its completion. *)
+(** Queue one task; returns at once.  The queue has no bound: a batch's
+    tasks are already in memory, and the daemon bounds its own admission
+    queue.  [deadline] is a wall-clock budget in seconds from dispatch
+    (forked engine only); [trace] a throttle window in event-seq units,
+    which makes the worker tap its ring and return the task's events on
+    its completion. *)
 
 val idle : t -> int
 (** Workers minus submitted tasks not yet returned, floored at 0.  A

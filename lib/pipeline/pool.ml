@@ -32,7 +32,6 @@ type stats = {
   s_evictions : int;
   s_wall : float;
   s_cache_pass : float;
-  s_digest : float;
   s_fork : float;
   s_wire : float;
   s_collect : float;
@@ -85,7 +84,6 @@ let run cfg tasks =
   let n_done = ref 0 in
   let from_workers = ref 0 in
   let analyze_cpu = ref 0.0 in
-  let digest_time = ref 0.0 in
   (* sweep-wide metrics: the parent's counters plus every worker
      registry, merged once the engine is done *)
   let metrics = Metrics.create () in
@@ -108,13 +106,8 @@ let run cfg tasks =
     | Some _ ->
       List.filter
         (fun (task : Task.t) ->
-          (* digest first, timed, so the key derivation cost is
-             attributed to its own phase; the probe below hits the memo *)
-          let t_d0 = now () in
-          ignore (Analysis.service_digest service task);
-          digest_time := !digest_time +. (now () -. t_d0);
           match Analysis.service_find service task with
-          | Some (report, _) ->
+          | Some report ->
             record task.Task.t_id report;
             false
           | None -> true)
@@ -173,7 +166,6 @@ let run cfg tasks =
   mcount "steals" k.Executor.steals;
   mcount "evictions" evictions;
   mcount "phase_cache_us" (int_of_float (cache_pass *. 1e6));
-  mcount "phase_digest_us" (int_of_float (!digest_time *. 1e6));
   mcount "phase_fork_us" (int_of_float (k.Executor.fork_seconds *. 1e6));
   mcount "phase_wire_us" (int_of_float (k.Executor.wire_seconds *. 1e6));
   mcount "phase_collect_us" (int_of_float (collect *. 1e6));
@@ -191,7 +183,6 @@ let run cfg tasks =
       s_evictions = evictions;
       s_wall = now () -. t_start;
       s_cache_pass = cache_pass;
-      s_digest = !digest_time;
       s_fork = k.Executor.fork_seconds;
       s_wire = k.Executor.wire_seconds;
       s_collect = collect;

@@ -62,11 +62,10 @@ type stats = {
       (** memo entries evicted by the service's second-chance cap — [0]
           unless the sweep outgrew {!Analysis.service}'s capacity *)
   s_wall : float;  (** whole sweep, seconds *)
-  s_cache_pass : float;  (** phase: parent-side cache probe (includes
-                             [s_digest]) *)
-  s_digest : float;
-      (** phase: deriving cache keys inside the cache pass — the
-          attribution split that shows where a warm probe's time goes *)
+  s_cache_pass : float;
+      (** phase: the parent-side cache pass, one
+          {!Analysis.service_find} per task (digesting each for the disk
+          probe); [0.] without a cache *)
   s_fork : float;  (** phase: forking workers (initial + respawns); [0.]
                        under the domain engine *)
   s_wire : float;

@@ -71,13 +71,13 @@ type sub = {
 }
 
 (* A pending or in-flight analysis.  Single-flight: concurrent Submits
-   whose digests collide all attach as waiters to the first entry — the
-   analysis runs once, the verdict fans out to every waiter.  Fault-marked
-   tasks carry no key and never coalesce (a fault means "really run
-   this").  The first waiter's deadline governs the entry. *)
+   of one request (same {!Analysis.key}) all attach as waiters to the
+   first entry — the analysis runs once, the verdict fans out to every
+   waiter.  A task with no key (fault-marked) never coalesces.  The first
+   waiter's deadline governs the entry. *)
 type entry = {
   e_task : Task.t;
-  e_key : string option;  (* digest; the single-flight identity *)
+  e_key : Analysis.key option;  (* the single-flight identity *)
   mutable e_waiters : waiter list;  (* newest first *)
   e_deadline : float option;  (* the request's budget, else the default *)
 }
@@ -104,8 +104,9 @@ let serve cfg =
   let engine =
     Engine.resolve cfg.s_engine ~needs_isolation:(cfg.s_deadline <> None)
   in
-  (* the facade owns digesting, the warm layer and the disk cache; created
-     before forking so workers inherit the summary persistence hooks *)
+  (* the facade owns the warm layer, the disk cache and the rule for what
+     may be cached or coalesced; created before forking so workers
+     inherit the summary persistence hooks *)
   let service = Analysis.service ?cache:cfg.s_cache () in
   let requests = ref 0 and served = ref 0 and cache_hits = ref 0 in
   let coalesced = ref 0 and analyses = ref 0 in
@@ -117,10 +118,10 @@ let serve cfg =
   let queue : entry Shard_queue.t =
     Shard_queue.create_empty ~shards:cfg.s_max_clients ~capacity:cfg.s_depth ()
   in
-  (* digest -> the entry every colliding Submit coalesces onto; an entry
+  (* request -> the entry every colliding Submit coalesces onto; an entry
      is removed exactly when its terminal response fans out (or when its
      last waiter disconnects while it is still queued) *)
-  let inflight : (string, entry) Hashtbl.t = Hashtbl.create 256 in
+  let inflight : (Analysis.key, entry) Hashtbl.t = Hashtbl.create 256 in
   let clients : client option array = Array.make cfg.s_max_clients None in
   (* ticket (the task id) -> the entry an executor task is running for *)
   let running : (int, entry) Hashtbl.t = Hashtbl.create 16 in
@@ -339,7 +340,7 @@ let serve cfg =
     in
     incr next_task_id;
     match Analysis.service_find service task with
-    | Some (report, _) ->
+    | Some report ->
       (* the daemon's reason to exist: the warm path never queues, never
          forks, never re-links — one probe, one frame back *)
       incr cache_hits;
@@ -364,15 +365,11 @@ let serve cfg =
                   this daemon runs the domain engine" })
       end
       else begin
-        let key =
-          if task.Task.t_fault = None then
-            Some (Analysis.service_digest service task)
-          else None
-        in
+        let key = Analysis.key task in
         match Option.bind key (Hashtbl.find_opt inflight) with
         | Some entry ->
-          (* single-flight: same digest already queued or running — attach
-             and wait for the shared verdict *)
+          (* single-flight: same request already queued or running —
+             attach and wait for the shared verdict *)
           entry.e_waiters <-
             { w_slot = c.cl_slot; w_gen = c.cl_gen; w_req = s.Proto.sb_req;
               w_trace = s.Proto.sb_trace }

@@ -2,8 +2,8 @@
     speaking the {!Proto} request/response protocol.
 
     Where {!Pool.run} answers "run this corpus once", [serve] answers
-    "keep answering analysis requests": workers stay alive, the digest
-    memo and native-summary cache stay warm in-process, and every
+    "keep answering analysis requests": workers stay alive, the warm
+    report layer and native-summary cache stay warm in-process, and every
     [Submit] frame becomes exactly one terminal response — a [Verdict]
     (streamed as soon as it exists, cache hits immediately at admission)
     or a [Shed] when the bounded queue is full.  Overload degrades by
@@ -23,10 +23,12 @@
     fork iff a default deadline was configured, domains otherwise.
 
     {b Single-flight.}  Admission coalesces concurrent misses of one
-    digest: the first [Submit] queues the analysis, colliding ones attach
-    as waiters (answered with a ["coalesced"] [Progress]) and the one
-    verdict fans out to every waiter.  A thundering herd of identical
-    requests costs one analysis, under either engine.
+    request (same mode and subject, {!Analysis.key}): the first [Submit]
+    queues the analysis, colliding ones attach as waiters (answered with
+    a ["coalesced"] [Progress]) and the one verdict fans out to every
+    waiter.  A thundering herd of identical requests costs one analysis,
+    under either engine.  Admission computes no digest; only a daemon
+    with a cache does, to probe and fill the disk.
 
     Fairness: admission queues each request on its client's
     {!Shard_queue} shard, and dispatch drains shards round-robin, one
@@ -47,7 +49,8 @@
 type config = {
   s_socket : string;  (** Unix-domain socket path; unlinked on shutdown *)
   s_jobs : int;  (** persistent worker processes or domains *)
-  s_cache : Cache.t option;  (** digest cache kept warm across requests *)
+  s_cache : Cache.t option;
+      (** disk cache behind the warm layer, shared across runs *)
   s_depth : int;  (** max queued (not yet dispatched) requests — the
                       admission bound; beyond it, [Shed] *)
   s_max_clients : int;  (** concurrent connections (= queue shards) *)
@@ -86,7 +89,7 @@ type stats = {
                           (runs + crashes + timeouts); the single-flight
                           invariant is [sv_served = sv_cache_hits +
                           sv_coalesced + … per-entry fan-out] with one
-                          analysis per distinct in-flight digest *)
+                          analysis per distinct in-flight request *)
   sv_shed : int;  (** requests refused (depth bound, or isolation needs
                       under the domain engine) *)
   sv_crashed : int;  (** workers that died mid-request (forked engine) *)

@@ -15,14 +15,14 @@ type 'a t = {
   mutable cursor : int;  (* round-robin scan start for {!pop_rr} *)
 }
 
-let default_capacity = 1_000_000
-
-let create_empty ~shards ?(capacity = default_capacity) () =
+(* no bound unless the caller sets one: a batch's tasks are already in
+   memory, so only the daemon's admission queue needs one *)
+let create_empty ~shards ?(capacity = max_int) () =
   if shards < 1 then invalid_arg "Shard_queue.create: shards must be >= 1";
   { shards = Array.init shards (fun _ -> { front = []; back = []; len = 0 });
     capacity; size = 0; stolen = 0; cursor = 0 }
 
-let create ~shards ?(capacity = default_capacity) items =
+let create ~shards ?(capacity = max_int) items =
   let t = create_empty ~shards ~capacity () in
   let n = List.length items in
   if n > capacity then

@@ -1,5 +1,5 @@
-(** The pipeline's bounded, sharded work queue — two consumption
-    disciplines over one structure.
+(** The pipeline's sharded work queue — two consumption disciplines
+    over one structure.
 
     {b Batch (the executor's workers)}: tasks are dealt round-robin across
     one shard per worker ({!create}, or one {!push} per task in turn); a
@@ -9,29 +9,31 @@
     id-ordered scan that makes cache walks and progress output
     predictable.
 
-    {b Service (the daemon)}: the queue starts empty ({!create_empty})
-    with one shard per client slot; admission {!push}es onto the
-    submitting client's shard (refused at capacity — the caller sheds),
-    and the dispatcher {!pop_rr}s round-robin across non-empty shards, so
-    one client saturating the daemon cannot starve the others: every
-    client's oldest request is at most one round away. *)
+    {b Service (the daemon)}: the queue starts empty ({!create_empty}),
+    bounded at the admission depth, with one shard per client slot;
+    admission {!push}es onto the submitting client's shard (refused at
+    capacity — the caller sheds), and the dispatcher {!pop_rr}s
+    round-robin across non-empty shards, so one client saturating the
+    daemon cannot starve the others: every client's oldest request is at
+    most one round away. *)
 
 type 'a t
 
 val create : shards:int -> ?capacity:int -> 'a list -> 'a t
-(** Deal the items round-robin over [shards] (>= 1) shards.
-    @raise Invalid_argument if the item count exceeds [capacity]
-    (default 1_000_000) — the queue is bounded by construction; a sweep
-    larger than that should be split into multiple sweeps. *)
+(** Deal the items round-robin over [shards] (>= 1) shards.  [capacity]
+    bounds the queue (default: no bound).
+    @raise Invalid_argument if the item count exceeds [capacity]. *)
 
 val create_empty : shards:int -> ?capacity:int -> unit -> 'a t
-(** An empty queue for dynamic admission via {!push}. *)
+(** An empty queue for dynamic admission via {!push}.  [capacity] bounds
+    it (default: no bound — a batch's tasks are already in memory). *)
 
 val push : 'a t -> shard:int -> 'a -> bool
 (** Append to the back of that shard, O(1) amortized.  [false] — and the
     item is not enqueued — when the queue already holds [capacity] items:
-    the admission bound that turns overload into explicit [Shed]
-    responses instead of unbounded memory growth. *)
+    the daemon's admission bound, which turns overload into explicit
+    [Shed] responses instead of unbounded memory growth.  Always [true]
+    on an unbounded queue. *)
 
 val pop : 'a t -> shard:int -> 'a option
 (** Next item for that shard's worker (own front, else steal).  [None]

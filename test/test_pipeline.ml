@@ -332,6 +332,20 @@ let test_faulted_sweep_jobs_invariant () =
         (r3.(i).Verdict.r_verdict = Verdict.Timeout))
     [ 7; 41 ]
 
+(* A batch's tasks are already in memory, so the executor's queues take
+   a sweep of any size.  A bound there would refuse a task that the
+   executor still counts as in flight, and its [wait] would never
+   return. *)
+let test_queue_takes_whole_sweep () =
+  let q = Shard_queue.create_empty ~shards:2 () in
+  let n = 1_000_001 in
+  let accepted = ref 0 in
+  for i = 0 to n - 1 do
+    if Shard_queue.push q ~shard:i i then incr accepted
+  done;
+  Alcotest.(check int) "every push accepted" n !accepted;
+  Alcotest.(check int) "every task queued" n (Shard_queue.remaining q)
+
 let suite =
   [ Alcotest.test_case "json: golden report bytes" `Quick test_json_golden;
     Alcotest.test_case "json: object keys sorted" `Quick test_json_sorted_keys;
@@ -361,4 +375,6 @@ let suite =
     Alcotest.test_case "wire: oversized prefix refused" `Quick
       test_wire_oversized;
     Alcotest.test_case "pool: faulted fork sweep identical across --jobs"
-      `Quick test_faulted_sweep_jobs_invariant ]
+      `Quick test_faulted_sweep_jobs_invariant;
+    Alcotest.test_case "queue: executor queues take a whole sweep" `Quick
+      test_queue_takes_whole_sweep ]

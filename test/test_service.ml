@@ -158,14 +158,14 @@ let tmp_name prefix =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) (Random.int 1_000_000))
 
-let with_daemon ?(jobs = 1) ?depth ?max_clients ?deadline f =
+let with_daemon ?(jobs = 1) ?depth ?max_clients ?deadline ?cache f =
   let socket = tmp_name "ndroid-test-sock" in
   match Unix.fork () with
   | 0 ->
     (try
        ignore
          (Server.serve (Server.config ~socket ~jobs ?depth ?max_clients
-                          ?deadline ()))
+                          ?deadline ?cache ()))
      with _ -> ());
     Unix._exit 0
   | pid ->
@@ -514,6 +514,49 @@ let test_pool_stats_shed_zero () =
   let _, stats = Pool.run (Pool.config ~jobs:2 ()) (slice 24) in
   Alcotest.(check int) "batch sweeps never shed" 0 stats.Pool.s_shed
 
+(* The disk cache outlives the daemon: a daemon restarted on the same
+   directory answers every request from it, with the first one's bytes.
+   The warm layer starts empty in each daemon, so only the disk can
+   serve the second. *)
+let test_daemon_restart_reads_disk_cache () =
+  let market = slice 24 in
+  let bundled =
+    List.mapi
+      (fun i name ->
+        { Task.t_id = List.length market + i; t_subject = Task.Bundled name;
+          t_mode = Task.Both; t_fault = None })
+      [ "case1"; "QQPhoneBook3.5" ]
+  in
+  let tasks = market @ bundled in
+  let n = List.length tasks in
+  let expected = json_of (Pool.run_inline tasks) in
+  let dir = tmp_name "ndroid-test-cache" in
+  let serve_all () =
+    with_daemon ~jobs:2 ~cache:(Cache.create ~dir) (fun socket ->
+        let c = connect socket in
+        List.iter (submit c) tasks;
+        let answers = reports_in_req_order (collect c n) n in
+        Proto.Client.close c;
+        answers)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun name -> Sys.remove (Filename.concat dir name))
+        (try Sys.readdir dir with Sys_error _ -> [||]);
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () ->
+      let cold = serve_all () in
+      Alcotest.(check string) "cold verdicts bit-identical to batch" expected
+        (json_of (Array.map fst cold));
+      Alcotest.(check bool) "cold daemon computed every verdict" true
+        (Array.for_all (fun (_, cached) -> not cached) cold);
+      let restarted = serve_all () in
+      Alcotest.(check string) "restarted verdicts bit-identical" expected
+        (json_of (Array.map fst restarted));
+      Alcotest.(check bool) "restarted daemon answered all from disk" true
+        (Array.for_all (fun (_, cached) -> cached) restarted))
+
 let suite =
   [ Alcotest.test_case "proto: messages roundtrip the wire" `Quick
       test_proto_roundtrip;
@@ -548,4 +591,6 @@ let suite =
     Alcotest.test_case "pool: progress uniform across cache hits" `Quick
       test_inline_progress_uniform;
     Alcotest.test_case "pool: batch stats report zero shed" `Quick
-      test_pool_stats_shed_zero ]
+      test_pool_stats_shed_zero;
+    Alcotest.test_case "daemon: a restarted daemon answers from its disk cache"
+      `Quick test_daemon_restart_reads_disk_cache ]
